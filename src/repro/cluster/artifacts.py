@@ -45,8 +45,9 @@ from repro.uarch.checkpoint import CheckpointTimeline
 from repro.version import __version__
 
 #: Version folded into every artifact (and its key), so incompatible layout
-#: changes can never resurrect stale artifacts.
-ARTIFACT_SCHEMA_VERSION = 1
+#: changes can never resurrect stale artifacts.  Version 2: the golden's
+#: access trace is stored as column arrays instead of event objects.
+ARTIFACT_SCHEMA_VERSION = 2
 
 #: Default LRU size cap (bytes) for the golden-artifact directory.
 DEFAULT_MAX_BYTES = 4 * 1024 ** 3

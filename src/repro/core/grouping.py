@@ -23,13 +23,22 @@ interval; grouping and the byte split then use the keying interval and
 the anchor's byte.  Representative propagation within a group stays exact
 because every member of a group applies the same model with the same
 geometry relative to its anchor.
+
+The reduction runs on column arrays: every fault application is looked up
+in one batched :meth:`~repro.core.intervals.IntervalSet.lookup`, the
+surviving faults are ordered by one stable sort on (RIP, uPC, byte), and
+only the representative choice loops in Python, once per group.  Groups
+are views over those arrays: apart from each group's representative, no
+:class:`GroupedFault` or :class:`~repro.faults.model.FaultSpec` object
+exists until a caller reads a group's members.
 """
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.core.intervals import IntervalSet, VulnerableInterval
 from repro.faults.model import FaultList, FaultSpec
@@ -52,15 +61,52 @@ class GroupedFault:
         return self.interval.end_cycle
 
 
-@dataclass
-class FaultGroup:
-    """A final group produced by step 2 (one (RIP, uPC, byte) combination)."""
+class _GroupingTable:
+    """The columns one grouping run shares with all of its group views."""
 
-    rip: int
-    upc: int
-    byte: int
-    members: List[GroupedFault] = field(default_factory=list)
-    representative: Optional[FaultSpec] = None
+    def __init__(self, fault_list: FaultList, intervals: IntervalSet, hits: np.ndarray):
+        self.fault_list = fault_list
+        self.intervals = intervals
+        #: Per fault row, the index of its keying interval (-1: ACE-masked).
+        self.hits = hits
+
+    def member(self, row: int) -> GroupedFault:
+        return GroupedFault(fault=self.fault_list[row],
+                            interval=self.intervals.interval(self.hits[row]))
+
+
+class FaultGroup:
+    """A final group produced by step 2 (one (RIP, uPC, byte) combination).
+
+    Built either from explicit ``members`` or, by :func:`group_faults`, as a
+    view over the grouping's columns whose members are materialised on
+    each access.
+    """
+
+    def __init__(self, rip: int, upc: int, byte: int,
+                 members: Sequence[GroupedFault] = (),
+                 representative: Optional[FaultSpec] = None):
+        self.rip = rip
+        self.upc = upc
+        self.byte = byte
+        self.representative = representative
+        self._members = list(members)
+        self._table: Optional[_GroupingTable] = None
+        self._rows: Optional[np.ndarray] = None
+
+    @classmethod
+    def _view(cls, rip: int, upc: int, byte: int, table: _GroupingTable,
+              rows: np.ndarray, representative_row: int) -> "FaultGroup":
+        group = cls(rip, upc, byte, representative=table.fault_list[representative_row])
+        group._table = table
+        group._rows = rows
+        return group
+
+    @property
+    def members(self) -> List[GroupedFault]:
+        if self._rows is None:
+            return self._members
+        return [self._table.member(row) for row in self._rows.tolist()]
 
     @property
     def key(self) -> Tuple[int, int, int]:
@@ -72,10 +118,12 @@ class FaultGroup:
 
     @property
     def size(self) -> int:
-        return len(self.members)
+        return len(self._members) if self._rows is None else len(self._rows)
 
     def member_fault_ids(self) -> List[int]:
-        return [member.fault.fault_id for member in self.members]
+        if self._rows is None:
+            return [member.fault.fault_id for member in self._members]
+        return self._table.fault_list.columns.fault_id[self._rows].tolist()
 
 
 @dataclass
@@ -148,73 +196,94 @@ class GroupedFaults:
         )
 
 
-def _select_representative(members: List[GroupedFault],
-                           instance_usage: Counter) -> FaultSpec:
+def first_vulnerable_intervals(fault_list: FaultList, intervals: IntervalSet) -> np.ndarray:
+    """Per fault row, the first vulnerable interval any application lands in.
+
+    Returns interval indices into ``intervals`` (-1 where every application
+    misses).  Applications are scanned in plan order — active cycles
+    outermost, flip entries in spec order within a cycle — so a single-bit
+    transient reduces to the classic one-lookup anchor check, while a
+    windowed fault (intermittent re-application, stuck-at pin) is prunable
+    only if *every* application misses every vulnerable interval: a pin
+    whose anchor lands in dead time but whose window covers a later
+    interval of the entry corrupts a consumed value and must not be
+    ACE-masked.
+    """
+    rows, entries, cycles = fault_list.applications()
+    found = intervals.lookup(entries, cycles)
+    hit = found >= 0
+    hit_rows = rows[hit]
+    # Applications are row-major in plan order: a row's first hit is its
+    # first occurrence among the hits.
+    first = np.ones(len(hit_rows), dtype=bool)
+    first[1:] = hit_rows[1:] != hit_rows[:-1]
+    hits = np.full(len(fault_list), -1, dtype=np.int64)
+    hits[hit_rows[first]] = found[hit][first]
+    return hits
+
+
+def _representative(positions: List[int], instances: List[int], usage: Dict[int, int]) -> int:
     """Pick the member whose dynamic instance is least used by this static instruction.
 
-    This realises the time-diversity rule of step 2: representatives of the
-    byte sub-groups of one static instruction are drawn from different
-    dynamic instances whenever possible.
+    ``positions`` and ``instances`` list the group's members ordered by
+    (dynamic instance, fault id); the winner minimises (usage, instance,
+    fault id).  This realises the time-diversity rule of step 2:
+    representatives of the byte sub-groups of one static instruction are
+    drawn from different dynamic instances whenever possible.
     """
-    best = min(
-        members,
-        key=lambda member: (
-            instance_usage[member.dynamic_instance],
-            member.dynamic_instance,
-            member.fault.fault_id,
-        ),
-    )
-    instance_usage[best.dynamic_instance] += 1
-    return best.fault
-
-
-def first_vulnerable_interval(fault: FaultSpec,
-                              intervals: IntervalSet) -> Optional[VulnerableInterval]:
-    """The first vulnerable interval any application of ``fault`` lands in.
-
-    Applications are scanned in plan order — active cycles outermost,
-    flip entries in spec order within a cycle — so a single-bit transient
-    reduces to the classic one-lookup anchor check, while a windowed
-    fault (intermittent re-application, stuck-at pin) is prunable only if
-    *every* application misses every vulnerable interval: a pin whose
-    anchor lands in dead time but whose window covers a later interval of
-    the entry corrupts a consumed value and must not be ACE-masked.
-    """
-    entries = fault.flip_entries()
-    for cycle in fault.active_cycles():
-        for entry in entries:
-            interval = intervals.find(entry, cycle)
-            if interval is not None:
-                return interval
-    return None
+    best, best_usage = 0, None
+    for index, instance in enumerate(instances):
+        used = usage.get(instance, 0)
+        if best_usage is None or used < best_usage:
+            best, best_usage = index, used
+            if used == 0:
+                break
+    usage[instances[best]] = best_usage + 1
+    return positions[best]
 
 
 def group_faults(fault_list: FaultList, intervals: IntervalSet) -> GroupedFaults:
     """Run both grouping steps over ``fault_list``."""
-    masked_ids: List[int] = []
-    step1: Dict[Tuple[int, int], List[GroupedFault]] = defaultdict(list)
+    hits = first_vulnerable_intervals(fault_list, intervals)
+    columns = fault_list.columns
+    table = _GroupingTable(fault_list, intervals, hits)
 
-    for fault in fault_list:
-        interval = first_vulnerable_interval(fault, intervals)
-        if interval is None:
-            masked_ids.append(fault.fault_id)
-            continue
-        step1[interval.reader_key].append(GroupedFault(fault=fault, interval=interval))
+    # Step 1 and the step-2 byte split as one stable sort: members stay in
+    # fault-list order within their (RIP, uPC, byte) group.
+    rows = np.flatnonzero(hits >= 0)
+    found = hits[rows]
+    rips, upcs = intervals.rips[found], intervals.upcs[found]
+    byte = columns.bit[rows] // 8
+    order = np.lexsort((byte, upcs, rips))
+    rows, found, rips, upcs, byte = (a[order] for a in (rows, found, rips, upcs, byte))
+    count = len(rows)
+    new_reader = np.ones(count, dtype=bool)
+    new_reader[1:] = (rips[1:] != rips[:-1]) | (upcs[1:] != upcs[:-1])
+    new_group = new_reader.copy()
+    new_group[1:] |= byte[1:] != byte[:-1]
+    starts = np.flatnonzero(new_group)
+    ends = np.append(starts[1:], count)
+
+    # Representative candidates: each group's members by (instance, id).
+    instances = intervals.ends[found]
+    candidates = np.lexsort((columns.fault_id[rows], instances, np.cumsum(new_group)))
+    candidate_instances = instances[candidates].tolist()
+    candidates = candidates.tolist()
 
     groups: List[FaultGroup] = []
-    for (rip, upc), members in sorted(step1.items()):
-        by_byte: Dict[int, List[GroupedFault]] = defaultdict(list)
-        for member in members:
-            by_byte[member.byte].append(member)
-        instance_usage: Counter = Counter()
-        for byte, byte_members in sorted(by_byte.items()):
-            group = FaultGroup(rip=rip, upc=upc, byte=byte, members=list(byte_members))
-            group.representative = _select_representative(byte_members, instance_usage)
-            groups.append(group)
+    usage: Dict[int, int] = {}
+    reader_starts = new_reader.tolist()
+    keys = zip(rips[starts].tolist(), upcs[starts].tolist(), byte[starts].tolist())
+    for (rip, upc, byte_value), start, end in zip(keys, starts.tolist(), ends.tolist()):
+        if reader_starts[start]:
+            usage = {}
+        chosen = _representative(candidates[start:end], candidate_instances[start:end], usage)
+        groups.append(FaultGroup._view(rip, upc, byte_value, table,
+                                       rows[start:end], int(rows[chosen])))
 
     return GroupedFaults(
         structure_name=fault_list.structure.short_name,
         initial_faults=len(fault_list),
-        masked_fault_ids=masked_ids,
+        masked_fault_ids=columns.fault_id[hits < 0].tolist(),
         groups=groups,
     )

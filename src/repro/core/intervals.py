@@ -14,16 +14,35 @@ A fault injected at the beginning of cycle ``c`` lies in the interval
 ``(previous_access_cycle, read_cycle]``: a flip in the same cycle as the
 preceding write is overwritten by it, while a flip in the same cycle as the
 terminating read is consumed by it.
+
+Intervals are built and queried as column arrays: one stable sort of the
+structure's access trace by (entry, cycle, reads before writes) turns every
+read with a predecessor in its entry into one interval, and
+:meth:`IntervalSet.lookup` resolves a whole batch of (entry, cycle) probes
+with one ``searchsorted``.
 """
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.uarch.structures import StructureGeometry, TargetStructure
-from repro.uarch.trace import AccessEvent, AccessTracer
+import numpy as np
+
+from repro.uarch.structures import TargetStructure
+from repro.uarch.trace import (
+    CYCLE,
+    ENTRY,
+    IS_READ,
+    RIP,
+    TRACE_WIDTH,
+    UPC,
+    AccessEvent,
+    AccessTracer,
+)
+
+#: Columns of an interval index: (entry, start, end, rip, upc) arrays.
+IntervalColumns = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -52,103 +71,161 @@ class VulnerableInterval:
         return self.rip, self.upc
 
 
+def _int64(values: Iterable[int]) -> np.ndarray:
+    return np.asarray(values, dtype=np.int64).reshape(-1)
+
+
 class IntervalSet:
-    """All vulnerable intervals of one structure, indexed by entry."""
+    """All vulnerable intervals of one structure, as sorted column arrays.
+
+    ``entries``, ``starts``, ``ends``, ``rips`` and ``upcs`` are parallel
+    int64 arrays ordered by (entry, end cycle); intervals of one entry that
+    share an end cycle keep their construction order.
+    """
 
     def __init__(self, structure: TargetStructure,
                  intervals_by_entry: Dict[int, List[VulnerableInterval]]):
+        flat = [(entry, iv.start_cycle, iv.end_cycle, iv.rip, iv.upc)
+                for entry, intervals in intervals_by_entry.items()
+                for iv in intervals]
+        columns = np.array(flat, dtype=np.int64).reshape(-1, 5).T
+        self._index(structure, tuple(columns))
+
+    @classmethod
+    def from_columns(cls, structure: TargetStructure,
+                     columns: IntervalColumns) -> "IntervalSet":
+        """Build a set from (entry, start, end, rip, upc) arrays."""
+        interval_set = cls.__new__(cls)
+        interval_set._index(structure, columns)
+        return interval_set
+
+    def _index(self, structure: TargetStructure, columns: IntervalColumns) -> None:
         self.structure = structure
-        self._by_entry = {
-            entry: sorted(intervals, key=lambda iv: iv.end_cycle)
-            for entry, intervals in intervals_by_entry.items()
-        }
-        self._end_cycles = {
-            entry: [iv.end_cycle for iv in intervals]
-            for entry, intervals in self._by_entry.items()
-        }
+        entries, starts, ends, rips, upcs = (_int64(column) for column in columns)
+        order = np.lexsort((ends, entries))
+        self.entries = entries[order]
+        self.starts = starts[order]
+        self.ends = ends[order]
+        self.rips = rips[order]
+        self.upcs = upcs[order]
+        # One combined (entry, end) search key: probes clip their cycle into
+        # [min_end - 1, max_end + 1], which keeps every in-entry bisection
+        # result and cannot spill into a neighbouring entry.
+        if len(self.ends):
+            self._low = int(self.ends.min()) - 1
+            self._stride = int(self.ends.max()) - self._low + 2
+        else:
+            self._low, self._stride = 0, 1
+        self._keys = self.entries * self._stride + (self.ends - self._low)
 
     # ------------------------------------------------------------------
+    def interval(self, index: int) -> VulnerableInterval:
+        """The interval at position ``index`` of the columns."""
+        return VulnerableInterval(
+            structure=self.structure,
+            entry=int(self.entries[index]),
+            start_cycle=int(self.starts[index]),
+            end_cycle=int(self.ends[index]),
+            rip=int(self.rips[index]),
+            upc=int(self.upcs[index]),
+        )
+
+    def _span_of(self, entry: int) -> range:
+        low = int(np.searchsorted(self.entries, entry, side="left"))
+        high = int(np.searchsorted(self.entries, entry, side="right"))
+        return range(low, high)
+
     def intervals_of(self, entry: int) -> List[VulnerableInterval]:
-        return self._by_entry.get(entry, [])
+        return [self.interval(index) for index in self._span_of(entry)]
 
     def all_intervals(self) -> Iterable[VulnerableInterval]:
-        for intervals in self._by_entry.values():
-            yield from intervals
+        """Every interval, ordered by entry then end cycle."""
+        for index in range(len(self.ends)):
+            yield self.interval(index)
 
     @property
     def num_intervals(self) -> int:
-        return sum(len(v) for v in self._by_entry.values())
+        return len(self.ends)
 
     @property
     def entries_with_intervals(self) -> List[int]:
-        return sorted(self._by_entry)
+        return np.unique(self.entries).tolist()
 
     # ------------------------------------------------------------------
+    def lookup(self, entries: np.ndarray, cycles: np.ndarray) -> np.ndarray:
+        """Index of the interval covering each (entry, cycle) probe, or -1.
+
+        Per probe this is a bisection over the entry's end cycles followed
+        by a containment check, exactly as :meth:`find`, for the whole
+        batch at once.
+        """
+        entries = _int64(entries)
+        cycles = _int64(cycles)
+        found = np.full(len(cycles), -1, dtype=np.int64)
+        if not len(self.ends) or not len(cycles):
+            return found
+        clipped = np.clip(cycles, self._low, self._low + self._stride - 1)
+        index = np.searchsorted(self._keys, entries * self._stride + (clipped - self._low))
+        index = np.minimum(index, len(self.ends) - 1)
+        hit = ((self.entries[index] == entries)
+               & (self.starts[index] < cycles) & (cycles <= self.ends[index]))
+        found[hit] = index[hit]
+        return found
+
     def find(self, entry: int, cycle: int) -> Optional[VulnerableInterval]:
         """Return the vulnerable interval covering a fault at (entry, cycle)."""
-        ends = self._end_cycles.get(entry)
-        if not ends:
-            return None
-        index = bisect.bisect_left(ends, cycle)
-        if index >= len(ends):
-            return None
-        interval = self._by_entry[entry][index]
-        return interval if interval.contains(cycle) else None
+        (index,) = self.lookup([entry], [cycle])
+        return self.interval(index) if index >= 0 else None
 
     def vulnerable_cycles(self, entry: int) -> int:
         """Total vulnerable time of an entry (sum of its interval lengths)."""
-        return sum(iv.length for iv in self._by_entry.get(entry, []))
+        span = self._span_of(entry)
+        return int((self.ends[span.start:span.stop] - self.starts[span.start:span.stop]).sum())
 
     def total_vulnerable_cycles(self) -> int:
-        return sum(self.vulnerable_cycles(entry) for entry in self._by_entry)
+        return int((self.ends - self.starts).sum())
 
     def reader_keys(self) -> List[Tuple[int, int]]:
         """Distinct (RIP, uPC) pairs that terminate at least one interval."""
-        return sorted({iv.reader_key for iv in self.all_intervals()})
+        return sorted(set(zip(self.rips.tolist(), self.upcs.tolist())))
 
     def describe(self) -> str:
         return (
             f"IntervalSet({self.structure.short_name}: {self.num_intervals} intervals "
-            f"over {len(self._by_entry)} entries, "
+            f"over {len(self.entries_with_intervals)} entries, "
             f"{self.total_vulnerable_cycles()} vulnerable cycles)"
         )
 
 
+def interval_columns(trace: np.ndarray) -> IntervalColumns:
+    """The ACE-like intervals of one structure's ``(n, 5)`` access trace.
+
+    One stable sort orders the accesses by entry, then cycle, with reads
+    before writes within a cycle (a value read and overwritten in the same
+    cycle was still consumed by that read); recording order breaks the
+    remaining ties.  Every read that follows another access of its entry
+    then closes the interval ``(previous access cycle, read cycle]`` and
+    carries the read's (RIP, uPC).
+    """
+    trace = trace[np.lexsort((1 - trace[:, IS_READ], trace[:, CYCLE], trace[:, ENTRY]))]
+    entries = trace[:, ENTRY]
+    closes = np.flatnonzero((trace[1:, IS_READ] == 1) & (entries[1:] == entries[:-1])) + 1
+    return (entries[closes], trace[closes - 1, CYCLE], trace[closes, CYCLE],
+            trace[closes, RIP], trace[closes, UPC])
+
+
 def build_intervals_for_entry(structure: TargetStructure, entry: int,
                               events: List[AccessEvent]) -> List[VulnerableInterval]:
-    """Turn the chronological access events of one entry into intervals."""
-    # Reads are ordered before writes within a cycle: a value read and
-    # overwritten in the same cycle was still consumed by that read.
-    ordered = sorted(events, key=lambda e: (e.cycle, e.is_write))
-    intervals: List[VulnerableInterval] = []
-    previous: Optional[AccessEvent] = None
-    for event in ordered:
-        if event.is_read:
-            if previous is not None:
-                intervals.append(
-                    VulnerableInterval(
-                        structure=structure,
-                        entry=entry,
-                        start_cycle=previous.cycle,
-                        end_cycle=event.cycle,
-                        rip=event.rip,
-                        upc=event.upc,
-                    )
-                )
-            previous = event
-        else:
-            previous = event
-    return intervals
+    """Turn the access events of one entry into its intervals."""
+    trace = np.array([(entry, event.cycle, event.is_read, event.rip, event.upc)
+                      for event in events], dtype=np.int64).reshape(-1, TRACE_WIDTH)
+    intervals = IntervalSet.from_columns(structure, interval_columns(trace))
+    return list(intervals.all_intervals())
 
 
 def build_interval_set(tracer: AccessTracer, structure: TargetStructure) -> IntervalSet:
     """Build the ACE-like interval set of ``structure`` from a profiling trace."""
-    intervals_by_entry: Dict[int, List[VulnerableInterval]] = {}
-    for entry, events in tracer.events_by_entry(structure).items():
-        intervals = build_intervals_for_entry(structure, entry, events)
-        if intervals:
-            intervals_by_entry[entry] = intervals
-    return IntervalSet(structure, intervals_by_entry)
+    return IntervalSet.from_columns(structure, interval_columns(tracer.columns(structure)))
 
 
 def classic_ace_intervals(tracer: AccessTracer, structure: TargetStructure) -> IntervalSet:
@@ -159,26 +236,15 @@ def classic_ace_intervals(tracer: AccessTracer, structure: TargetStructure) -> I
     Section 3.1.1); the per-interval reader attribution is that of the last
     read of the chain.
     """
-    merged_by_entry: Dict[int, List[VulnerableInterval]] = {}
-    for entry, events in tracer.events_by_entry(structure).items():
-        fine = build_intervals_for_entry(structure, entry, events)
-        if not fine:
-            continue
-        merged: List[VulnerableInterval] = []
-        current = fine[0]
-        for nxt in fine[1:]:
-            if nxt.start_cycle == current.end_cycle:
-                current = VulnerableInterval(
-                    structure=structure,
-                    entry=entry,
-                    start_cycle=current.start_cycle,
-                    end_cycle=nxt.end_cycle,
-                    rip=nxt.rip,
-                    upc=nxt.upc,
-                )
-            else:
-                merged.append(current)
-                current = nxt
-        merged.append(current)
-        merged_by_entry[entry] = merged
-    return IntervalSet(structure, merged_by_entry)
+    fine = build_interval_set(tracer, structure)
+    entries, starts, ends = fine.entries, fine.starts, fine.ends
+    # A chain continues while the next interval of the entry starts where
+    # the previous one ended.
+    first = np.ones(len(ends), dtype=bool)
+    first[1:] = (entries[1:] != entries[:-1]) | (starts[1:] != ends[:-1])
+    last = np.ones(len(ends), dtype=bool)
+    last[:-1] = first[1:]
+    heads, tails = np.flatnonzero(first), np.flatnonzero(last)
+    return IntervalSet.from_columns(structure, (
+        entries[heads], starts[heads], ends[tails], fine.rips[tails], fine.upcs[tails],
+    ))

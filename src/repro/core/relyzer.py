@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.grouping import GroupedFault, first_vulnerable_interval
+from repro.core.grouping import first_vulnerable_intervals
 from repro.core.intervals import IntervalSet
 from repro.faults.campaign import ComprehensiveCampaign
 from repro.faults.classification import ClassificationCounts, FaultEffectClass
@@ -43,15 +43,15 @@ class RelyzerGroup:
 
     rip: int
     path: Tuple[int, ...]
-    members: List[GroupedFault] = field(default_factory=list)
+    fault_ids: List[int] = field(default_factory=list)
     pilot: Optional[FaultSpec] = None
 
     @property
     def size(self) -> int:
-        return len(self.members)
+        return len(self.fault_ids)
 
     def member_fault_ids(self) -> List[int]:
-        return [member.fault.fault_id for member in self.members]
+        return list(self.fault_ids)
 
 
 @dataclass
@@ -164,28 +164,32 @@ class RelyzerCampaign:
     # ------------------------------------------------------------------
     def build_groups(self) -> Tuple[List[RelyzerGroup], List[int]]:
         """Group the fault list by (static reader, control path); prune non-ACE faults."""
-        masked_ids: List[int] = []
-        grouped: Dict[Tuple[int, Tuple[int, ...]], List[GroupedFault]] = defaultdict(list)
-        for fault in self.fault_list:
-            # Same windowed-model-aware pruning as MeRLiN's grouping: a
-            # fault is non-ACE only if every application of its window
-            # misses every vulnerable interval.
-            interval = first_vulnerable_interval(fault, self.intervals)
-            if interval is None:
-                masked_ids.append(fault.fault_id)
-                continue
-            if interval.rip == WRITEBACK_RIP:
+        # Same windowed-model-aware pruning as MeRLiN's grouping: a fault
+        # is non-ACE only if every application of its window misses every
+        # vulnerable interval.
+        hits = first_vulnerable_intervals(self.fault_list, self.intervals)
+        fault_ids = self.fault_list.columns.fault_id
+        masked_ids = fault_ids[hits < 0].tolist()
+        rows = np.flatnonzero(hits >= 0)
+        found = hits[rows]
+        paths: Dict[Tuple[int, int], Tuple[int, ...]] = {}
+        grouped: Dict[Tuple[int, Tuple[int, ...]], List[int]] = defaultdict(list)
+        for row, rip, read_cycle in zip(rows.tolist(), self.intervals.rips[found].tolist(),
+                                        self.intervals.ends[found].tolist()):
+            if rip == WRITEBACK_RIP:
                 path: Tuple[int, ...] = (WRITEBACK_RIP,)
             else:
-                path = self._dynamic_path(interval.rip, interval.end_cycle)
-            grouped[(interval.rip, path)].append(GroupedFault(fault=fault, interval=interval))
+                path = paths.get((rip, read_cycle))
+                if path is None:
+                    path = paths[(rip, read_cycle)] = self._dynamic_path(rip, read_cycle)
+            grouped[(rip, path)].append(row)
 
         rng = np.random.default_rng(self.seed)
         groups: List[RelyzerGroup] = []
         for (rip, path), members in sorted(grouped.items()):
-            group = RelyzerGroup(rip=rip, path=path, members=members)
+            group = RelyzerGroup(rip=rip, path=path, fault_ids=fault_ids[members].tolist())
             pilot_index = int(rng.integers(0, len(members)))
-            group.pilot = members[pilot_index].fault
+            group.pilot = self.fault_list[members[pilot_index]]
             groups.append(group)
         return groups, masked_ids
 

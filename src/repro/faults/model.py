@@ -18,9 +18,15 @@ payloads without consulting the model registry.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import (TYPE_CHECKING, Dict, Iterable, Iterator, List, NamedTuple, Optional,
+                    Sequence, Tuple)
+
+import numpy as np
 
 from repro.uarch.structures import BitOp, StructureGeometry, TargetStructure
+
+if TYPE_CHECKING:
+    from repro.faults.models import FaultModel
 
 #: Registry name of the degenerate single-flip model (kept here so the
 #: carrier type does not import the registry).
@@ -202,8 +208,22 @@ class FaultSpec:
         return f"{base} {' '.join(extras)}"
 
 
+class FaultColumns(NamedTuple):
+    """The anchor of every fault of a list, as parallel int64 arrays."""
+
+    fault_id: np.ndarray
+    entry: np.ndarray
+    bit: np.ndarray
+    cycle: np.ndarray
+
+
 class FaultList:
     """An ordered collection of faults targeting a single structure.
+
+    A list is backed either by the :class:`FaultSpec` objects it was built
+    from, or — for sampled lists (:meth:`from_columns`) — by anchor columns
+    plus the fault model that materialises them, in which case a
+    :class:`FaultSpec` is built only when a caller iterates or indexes.
 
     Fault ids are unique by construction: duplicates are rejected at
     ``append``/construction time, so :meth:`by_id` can never silently
@@ -213,41 +233,116 @@ class FaultList:
 
     def __init__(self, structure: TargetStructure, faults: Iterable[FaultSpec] = ()):
         self.structure = structure
-        self._faults: List[FaultSpec] = []
+        self.model: Optional[FaultModel] = None
+        self._specs: Optional[List[FaultSpec]] = []
         self._ids: set = set()
+        self._columns: Optional[FaultColumns] = None
         for fault in faults:
             self.append(fault)
 
+    @classmethod
+    def from_columns(cls, structure: TargetStructure, model: FaultModel,
+                     fault_ids: np.ndarray, entries: np.ndarray, bits: np.ndarray,
+                     cycles: np.ndarray) -> "FaultList":
+        """A list of ``model`` faults anchored at the given columns.
+
+        Row ``i`` stands for ``model.make_fault(fault_ids[i], structure, entries[i],
+        bits[i], cycles[i])``.
+        """
+        columns = FaultColumns(*(np.asarray(column, dtype=np.int64)
+                                 for column in (fault_ids, entries, bits, cycles)))
+        if len(np.unique(columns.fault_id)) != len(columns.fault_id):
+            raise ValueError(
+                f"duplicate fault id in {structure.short_name} fault list"
+            )
+        fault_list = cls(structure)
+        fault_list.model = model
+        fault_list._specs = None
+        fault_list._ids = None
+        fault_list._columns = columns
+        return fault_list
+
+    # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self._faults)
+        if self._specs is not None:
+            return len(self._specs)
+        return len(self._columns.fault_id)
 
     def __iter__(self) -> Iterator[FaultSpec]:
-        return iter(self._faults)
+        if self._specs is not None:
+            return iter(self._specs)
+        return (self._make(*row) for row in zip(*(c.tolist() for c in self._columns)))
 
     def __getitem__(self, index: int) -> FaultSpec:
-        return self._faults[index]
+        if self._specs is not None:
+            return self._specs[index]
+        return self._make(*(int(column[index]) for column in self._columns))
+
+    def _make(self, fault_id: int, entry: int, bit: int, cycle: int) -> FaultSpec:
+        return self.model.make_fault(fault_id, self.structure, entry, bit, cycle)
+
+    @property
+    def columns(self) -> FaultColumns:
+        """The (fault_id, entry, bit, cycle) anchor columns, in list order."""
+        if self._columns is None:
+            anchors = np.array([(f.fault_id, f.entry, f.bit, f.cycle) for f in self._specs],
+                               dtype=np.int64).reshape(-1, 4)
+            self._columns = FaultColumns(*anchors.T)
+        return self._columns
+
+    def applications(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every (row, entry, cycle) application of the list's fault plans.
+
+        Ordered by row, then in plan order within a fault: active cycles
+        outermost, flip entries in spec order within a cycle.  Column lists
+        expand from their model's geometry relative to the anchor, which is
+        anchor-independent for every registered model.
+        """
+        if self._specs is None:
+            template = self._make(0, 0, 0, 0)
+            cycle_offsets = np.array(template.active_cycles(), dtype=np.int64)
+            entry_offsets = np.array(template.flip_entries(), dtype=np.int64)
+            shape = (len(self), len(cycle_offsets), len(entry_offsets))
+            rows = np.arange(len(self), dtype=np.int64)[:, None, None]
+            cycles = self.columns.cycle[:, None, None] + cycle_offsets[None, :, None]
+            entries = self.columns.entry[:, None, None] + entry_offsets[None, None, :]
+            return tuple(np.broadcast_to(column, shape).ravel()
+                         for column in (rows, entries, cycles))
+        rows, entries, cycles = [], [], []
+        for row, fault in enumerate(self._specs):
+            flip_entries = fault.flip_entries()
+            for cycle in fault.active_cycles():
+                for entry in flip_entries:
+                    rows.append(row)
+                    entries.append(entry)
+                    cycles.append(cycle)
+        return tuple(np.array(values, dtype=np.int64) for values in (rows, entries, cycles))
 
     def append(self, fault: FaultSpec) -> None:
         if fault.structure is not self.structure:
             raise ValueError("fault targets a different structure")
+        if self._specs is None:
+            # A column list turns into a spec list on its first append.
+            self._specs = list(self)
+            self._ids = set(self._columns.fault_id.tolist())
+            self.model = None
         if fault.fault_id in self._ids:
             raise ValueError(
                 f"duplicate fault id {fault.fault_id} in "
                 f"{self.structure.short_name} fault list"
             )
         self._ids.add(fault.fault_id)
-        self._faults.append(fault)
+        self._specs.append(fault)
+        self._columns = None
 
     def by_id(self) -> Dict[int, FaultSpec]:
         """Return a mapping from fault id to fault (ids are unique)."""
-        return {fault.fault_id: fault for fault in self._faults}
+        return {fault.fault_id: fault for fault in self}
 
     def subset(self, fault_ids: Iterable[int]) -> "FaultList":
         """Return a new list containing only the given fault ids (original order)."""
         wanted = set(fault_ids)
-        return FaultList(
-            self.structure, [f for f in self._faults if f.fault_id in wanted]
-        )
+        return FaultList(self.structure, [f for f in self if f.fault_id in wanted])
 
     def validate(self, geometry: StructureGeometry, total_cycles: int) -> None:
         """Check that every flip site targets a legal (entry, bit) pair and
@@ -257,7 +352,7 @@ class FaultList:
         simply never land), but an anchor cycle outside the run means the
         fault can never fire at all — that is a list-construction bug.
         """
-        for fault in self._faults:
+        for fault in self:
             for entry, bit in fault.flips:
                 if not 0 <= entry < geometry.num_entries:
                     raise ValueError(f"{fault.describe()}: entry out of range")

@@ -151,9 +151,11 @@ def generate_fault_list(
     report the statistically required size separately.
 
     ``model`` (default :class:`~repro.faults.models.SingleBitTransient`)
-    materialises each drawn anchor into a full fault scenario.  The draw
-    sequence itself is model-independent except for the anchor-bit range,
-    so the single-bit model reproduces the seed's draws bit for bit.
+    turns each drawn anchor into a full fault scenario; the list stores
+    only the drawn anchor columns and builds a scenario when it is
+    iterated or indexed.  The draw sequence itself is model-independent
+    except for the anchor-bit range, so the single-bit model reproduces
+    the seed's draws bit for bit.
     """
     if total_cycles <= 0:
         raise ValueError("total_cycles must be positive")
@@ -176,14 +178,6 @@ def generate_fault_list(
     entries = rng.integers(0, geometry.num_entries, size=count)
     bits = rng.integers(0, plan.anchor_bits, size=count)
     cycles = rng.integers(0, total_cycles, size=count)
-    faults = [
-        model.make_fault(
-            index,
-            geometry.structure,
-            int(entries[index]),
-            int(bits[index]),
-            int(cycles[index]),
-        )
-        for index in range(count)
-    ]
-    return FaultList(geometry.structure, faults)
+    return FaultList.from_columns(
+        geometry.structure, model, np.arange(count, dtype=np.int64), entries, bits, cycles
+    )
