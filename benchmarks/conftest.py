@@ -22,6 +22,12 @@ from repro.experiments.common import ExperimentContext, ExperimentScale
 #: capture (one text file per table/figure).
 RESULTS_DIR = Path(__file__).parent / "results"
 
+#: Where the perf-gate benchmarks write their ``BENCH_*.json`` records: a
+#: gitignored directory, so a test run never rewrites the committed records
+#: at the repository root.
+BENCH_OUT_DIR = Path(__file__).resolve().parent.parent / "bench-results"
+BENCH_OUT_DIR.mkdir(exist_ok=True)
+
 #: Scale used by the benchmark harness: two MiBench and two SPEC kernels at a
 #: reduced problem size, paper-sized fault lists for the injection-free
 #: speedup figures and small lists for the accuracy studies.

@@ -2,7 +2,7 @@
 
 Runs the same 1000-fault register-file campaign twice — serial cold-start
 vs. checkpoint fast-forward — verifies the outcomes are identical, and
-emits ``BENCH_checkpoint.json`` at the repository root with the wall-clock
+emits ``bench-results/BENCH_checkpoint.json`` with the wall-clock
 trajectory.  Each leg's time includes everything that engine actually
 pays: golden capture for the cold leg, golden capture plus checkpoint
 timeline capture for the checkpointed leg.
@@ -13,15 +13,14 @@ from __future__ import annotations
 import json
 import os
 import time
-from pathlib import Path
 
-from conftest import CHECKPOINT_BENCH_ITERATIONS
+from conftest import BENCH_OUT_DIR, CHECKPOINT_BENCH_ITERATIONS
 from repro.faults.campaign import ComprehensiveCampaign
 from repro.faults.golden import capture_golden
 from repro.testing import build_loop_program, shared_fault_list, small_config
 from repro.uarch.structures import TargetStructure
 
-BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_checkpoint.json"
+BENCH_JSON = BENCH_OUT_DIR / "BENCH_checkpoint.json"
 
 FAULTS = 1_000
 # Relative floor of the checkpoint engine over the serial cold engine.

@@ -3,7 +3,7 @@
 Runs one 2000-fault register-file campaign through the cluster engine
 three times — cold cache with 1 worker, warm cache with 1 worker, warm
 cache with 4 workers — verifies all three merge to the identical outcome,
-and emits ``BENCH_cluster.json`` at the repository root with the scaling
+and emits ``bench-results/BENCH_cluster.json`` with the scaling
 trajectory and the warm-vs-cold cache behaviour.
 
 Two gates with different natures:
@@ -22,15 +22,15 @@ from __future__ import annotations
 import json
 import os
 import time
-from pathlib import Path
 
+from conftest import BENCH_OUT_DIR
 from repro import obs
 from repro.api import CampaignSpec
 from repro.cluster import ClusterEngine
 from repro.testing import small_config
 from repro.uarch.structures import TargetStructure
 
-BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_cluster.json"
+BENCH_JSON = BENCH_OUT_DIR / "BENCH_cluster.json"
 
 FAULTS = 2_000
 WORKERS = 4

@@ -2,7 +2,7 @@
 
 Runs the same 400-fault register-file campaign once per fault model of the
 zoo (identical golden run, identical anchor draws where the model's bit
-range allows) and emits ``BENCH_faultmodels.json`` at the repository root:
+range allows) and emits ``bench-results/BENCH_faultmodels.json``:
 wall-clock, faults/second and the throughput ratio to the single-bit
 baseline for each model.
 
@@ -19,8 +19,8 @@ from __future__ import annotations
 import json
 import os
 import time
-from pathlib import Path
 
+from conftest import BENCH_OUT_DIR
 from repro.faults.campaign import ComprehensiveCampaign
 from repro.faults.golden import capture_golden
 from repro.faults.models import (
@@ -34,7 +34,7 @@ from repro.faults.sampling import generate_fault_list
 from repro.testing import build_loop_program, small_config
 from repro.uarch.structures import TargetStructure, structure_geometry
 
-BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_faultmodels.json"
+BENCH_JSON = BENCH_OUT_DIR / "BENCH_faultmodels.json"
 
 FAULTS = 400
 ITERATIONS = 60

@@ -2,7 +2,7 @@
 
 Measures raw interpreter cycles/sec, serial-engine and checkpoint-engine
 faults/sec and the delta-timeline payload size via :mod:`repro.perf`,
-emits ``BENCH_simcore.json`` at the repository root (baseline + current +
+emits ``bench-results/BENCH_simcore.json`` (baseline + current +
 speedups in one file), and enforces the >=2.5x serial-campaign floor over
 the recorded pre-optimization baseline.
 
@@ -13,8 +13,8 @@ enforcing the floor.
 
 from __future__ import annotations
 
-from pathlib import Path
 
+from conftest import BENCH_OUT_DIR
 from repro.perf import (
     REQUIRED_SERIAL_SPEEDUP,
     check_gate,
@@ -23,7 +23,7 @@ from repro.perf import (
     write_bench_json,
 )
 
-BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_simcore.json"
+BENCH_JSON = BENCH_OUT_DIR / "BENCH_simcore.json"
 
 
 def test_simcore_throughput_gate():

@@ -5,15 +5,16 @@ a way to guide protection decisions.  This example expands a workloads x
 register-file-sizes cross-product with :func:`repro.api.sweep`, fans it out
 through an execution engine and prints the kind of table an architect would
 use to decide where ECC is worth its cost — the same sweep as Figure
-8/15/16.  Swap ``SerialEngine`` for ``ProcessPoolEngine`` to use every
-core; the results are bit-identical.
+8/15/16.  Swap ``"serial"`` for ``"process"`` to fan the shards out over
+every core; the results are bit-identical.  Golden artifacts and shard
+journals go under ``.repro-cache`` in the working directory.
 
 Run with:  python examples/design_space_exploration.py
 """
 
 from __future__ import annotations
 
-from repro.api import SerialEngine, config_axis, sweep
+from repro.api import config_axis, make_engine, sweep
 from repro.core.metrics import fit_rate
 from repro.core.reporting import TableReport
 
@@ -30,7 +31,7 @@ def main() -> None:
         faults=FAULTS_PER_CAMPAIGN,
         seed=3,
     )
-    outcomes = SerialEngine().run(specs)
+    outcomes = make_engine("serial").run(specs)
 
     table = TableReport(
         title="Register-file sizing: AVF / FIT per configuration (MeRLiN estimates)",

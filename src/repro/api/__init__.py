@@ -11,13 +11,13 @@ This package is the one true entry point for running injection campaigns:
     Resolves specs into programs, golden runs and fault lists — shared by
     identity across campaigns — runs them, and persists/reloads outcomes
     through a :class:`ResultStore`.
-:class:`SerialEngine` / :class:`ProcessPoolEngine` / :class:`CheckpointEngine`
-    Pluggable :class:`ExecutionEngine` implementations that run spec
-    batches in-process, fanned out across cores, or serially with
-    checkpoint fast-forwarded injection runs — all with progress hooks
-    and bit-identical outcomes.  ``make_engine("cluster")`` adds the
-    sharded intra-campaign engine from :mod:`repro.cluster` (artifact
-    cache, journaled resumable runs).
+:func:`make_engine`
+    Builds the one :class:`ExecutionEngine` (plan, shard, journal,
+    coordinate, merge; :mod:`repro.cluster`) for an ``--engine`` alias:
+    ``serial``/``checkpoint`` run shards in-process, ``process``/``cluster``
+    across a local worker pool, ``remote`` on TCP agents, all with
+    progress hooks and outcomes bit-identical to a cold
+    :meth:`Session.run`.
 :func:`sweep`
     Expands workloads x structures x configurations cross-products into
     spec lists for design-space exploration.
@@ -33,14 +33,7 @@ Quickstart::
     print(outcome.describe())
 """
 
-from repro.api.engine import (
-    ENGINES,
-    CheckpointEngine,
-    ExecutionEngine,
-    ProcessPoolEngine,
-    SerialEngine,
-    make_engine,
-)
+from repro.api.engine import ENGINES, ExecutionEngine, make_engine
 from repro.api.result import CampaignOutcome, ComprehensiveSummary, MerlinSummary
 from repro.api.session import CampaignExecution, PreparedCampaign, Session
 from repro.api.spec import METHODS, CampaignSpec, config_from_dict, config_to_dict
@@ -51,16 +44,13 @@ __all__ = [
     "CampaignExecution",
     "CampaignOutcome",
     "CampaignSpec",
-    "CheckpointEngine",
     "ComprehensiveSummary",
     "ENGINES",
     "ExecutionEngine",
     "METHODS",
     "MerlinSummary",
     "PreparedCampaign",
-    "ProcessPoolEngine",
     "ResultStore",
-    "SerialEngine",
     "Session",
     "StoreError",
     "config_axis",

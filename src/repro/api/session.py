@@ -150,8 +150,8 @@ class Session:
         """Make a custom (non-registry) program addressable by spec workload.
 
         Specs referencing it must leave ``scale`` as ``None``; custom
-        programs are session-local, so they cannot be fanned out through
-        the process-pool engine.
+        programs are session-local, so they run through this session's
+        :meth:`run`, not through an execution engine.
         """
         try:
             get_workload(program.name)

@@ -3,7 +3,7 @@
 A :class:`ResultStore` maps run identities to JSON artifacts: one
 ``<run_id>.json`` file per campaign under a root directory.  Writes are
 atomic (write-to-temp, fsync, then rename, then parent-directory fsync)
-so a store shared by the process-pool engine's workers never exposes a
+so a store shared by concurrent processes never exposes a
 half-written artifact and a crash immediately after :meth:`~ResultStore.save`
 returns cannot roll the file back.  Read failures — a missing artifact,
 torn or foreign JSON, a payload that no longer matches the outcome schema

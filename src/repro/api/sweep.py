@@ -47,8 +47,8 @@ def sweep(
     """Expand a cross-product of campaign axes into a spec list.
 
     The expansion order is workloads-major (all structures and configs of
-    one workload are adjacent), which keeps the serial engine's golden-run
-    cache hot: every (workload, config) pair's profiling run is captured
+    one workload are adjacent), which keeps a session's golden-run cache
+    hot: every (workload, config) pair's profiling run is captured
     once and shared by its structures.  ``fault_model``/``model_params``
     apply to every spec of the sweep (sweeping the model axis itself is a
     matter of concatenating sweeps).

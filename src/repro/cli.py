@@ -224,6 +224,10 @@ def _parse_int_list(text: Optional[str]) -> List[int]:
     return [int(part) for part in text.split(",") if part.strip()]
 
 
+def _print_progress(done: int, total: int) -> None:
+    print(f"\r{done}/{total} shards", end="", file=sys.stderr, flush=True)
+
+
 def _cmd_sweep(args: argparse.Namespace) -> int:
     workloads = _parse_workloads(args.workloads)
     structures = [part.strip() for part in args.structures.split(",") if part.strip()]
@@ -242,13 +246,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                          checkpoint_interval=args.checkpoint_interval,
                          shard_size=args.shard_size, cache_dir=args.cache_dir,
                          resume=args.resume, hosts=args.hosts)
-    progress = None
-    if not args.json:
-        # The cluster engines report finer-grained work units (shards).
-        unit = "shards" if args.engine in ("cluster", "remote") else "campaigns"
-
-        def progress(done: int, total: int) -> None:
-            print(f"\r{done}/{total} {unit}", end="", file=sys.stderr, flush=True)
+    progress = None if args.json else _print_progress
     store = _store_from(args)
     if _obs_requested(args):
         with obs.observe() as obs_ctx:
@@ -416,33 +414,18 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_resume(args: argparse.Namespace) -> int:
-    """Restart a killed cluster campaign from its journal."""
-    from repro.cluster import ClusterEngine, RunJournal
+    """Restart a killed campaign from its journal."""
+    from repro.cluster import RunJournal
 
     journal = RunJournal.load(Path(args.cache_dir) / "journals", args.run_id)
     spec = journal.spec()
-    if args.hosts:
-        from repro.cluster.remote import RemoteClusterEngine
-
-        engine: ClusterEngine = RemoteClusterEngine(
-            hosts=args.hosts,
-            shard_size=journal.shard_size,
-            cache_dir=args.cache_dir,
-            resume=True,
-            checkpoint_interval=journal.checkpoint_interval,
-        )
-    else:
-        engine = ClusterEngine(
-            max_workers=args.workers,
-            shard_size=journal.shard_size,
-            cache_dir=args.cache_dir,
-            resume=True,
-            checkpoint_interval=journal.checkpoint_interval,
-        )
-    progress = None
-    if not args.json:
-        def progress(done: int, total: int) -> None:
-            print(f"\r{done}/{total} shards", end="", file=sys.stderr, flush=True)
+    engine = make_engine(
+        "remote" if args.hosts else "cluster",
+        max_workers=args.workers, hosts=args.hosts,
+        shard_size=journal.shard_size, cache_dir=args.cache_dir, resume=True,
+        checkpoint_interval=journal.checkpoint_interval,
+    )
+    progress = None if args.json else _print_progress
     store = _store_from(args)
     if _obs_requested(args):
         with obs.observe() as obs_ctx:
@@ -534,14 +517,22 @@ def _add_obs_flags(parser: argparse.ArgumentParser) -> None:
                              "loadable) to FILE")
 
 
+#: ``--engine`` help: every alias is the same engine over a transport.
+ENGINE_HELP = ("which transport the shards run over: serial or checkpoint "
+               "(in this process), process or cluster (a local worker pool, "
+               "see --workers), remote (agents given by --hosts); every "
+               "one fast-forwards from checkpoints and journals under "
+               "--cache-dir (default serial)")
+
+
 def _add_cluster_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--shard-size", type=int, default=None, metavar="FAULTS",
-                        help="cluster engine: max faults per shard (default 250)")
+                        help="max faults per shard (default 250)")
     parser.add_argument("--cache-dir", default=None, metavar="DIR",
-                        help="cluster engine: golden-artifact cache and "
-                             "journal directory (default .repro-cache)")
+                        help="golden-artifact cache and journal directory "
+                             "(default .repro-cache)")
     parser.add_argument("--resume", action="store_true",
-                        help="cluster engine: reuse journaled shards of a "
+                        help="require and reuse the journaled shards of a "
                              "previous (killed) run")
     parser.add_argument("--hosts", default=None, metavar="HOST:PORT,...",
                         help="remote engine: comma-separated worker agents "
@@ -582,15 +573,12 @@ def build_parser() -> argparse.ArgumentParser:
                             help="also run the comprehensive campaign "
                                  "(shorthand for --method both)")
     run_parser.add_argument("--engine", default="serial", choices=list(ENGINES),
-                            help="execution engine: serial cold-start, "
-                                 "process fan-out, checkpoint fast-forward, "
-                                 "cluster sharded fan-out, or remote agents "
-                                 "via --hosts (default serial)")
+                            help=ENGINE_HELP)
     run_parser.add_argument("--workers", type=int, default=None,
                             help="process/cluster worker count (default: cores)")
     run_parser.add_argument("--checkpoint-interval", type=int, default=None,
                             metavar="CYCLES",
-                            help="checkpoint/cluster engine snapshot spacing "
+                            help="golden checkpoint spacing "
                                  "(default: ~32 checkpoints per golden run)")
     _add_model_flags(run_parser)
     _add_cluster_flags(run_parser)
@@ -618,12 +606,12 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_parser.add_argument("--method", default="merlin",
                               choices=["merlin", "comprehensive", "both"])
     sweep_parser.add_argument("--engine", default="serial", choices=list(ENGINES),
-                              help="execution engine (default serial)")
+                              help=ENGINE_HELP)
     sweep_parser.add_argument("--workers", type=int, default=None,
-                              help="process-engine worker count (default: cores)")
+                              help="process/cluster worker count (default: cores)")
     sweep_parser.add_argument("--checkpoint-interval", type=int, default=None,
                               metavar="CYCLES",
-                              help="checkpoint/cluster engine snapshot spacing "
+                              help="golden checkpoint spacing "
                                    "(default: ~32 checkpoints per golden run)")
     _add_model_flags(sweep_parser)
     _add_cluster_flags(sweep_parser)
@@ -655,7 +643,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench_parser.set_defaults(func=_cmd_bench)
 
     resume_parser = subparsers.add_parser(
-        "resume", help="restart a killed cluster campaign from its journal")
+        "resume", help="restart a killed campaign from its journal")
     resume_parser.add_argument("run_id", metavar="RUN_ID",
                                help="campaign run id (as journaled under "
                                     "<cache-dir>/journals/)")

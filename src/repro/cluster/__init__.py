@@ -1,23 +1,24 @@
-"""`repro.cluster` — sharded campaign orchestration for production scale.
+"""`repro.cluster` — the one execution engine behind every ``--engine``.
 
-The execution layer above the engines of :mod:`repro.api`: a single
-campaign's fault list is cut into deterministic, checkpoint-aligned
+A campaign's fault list is cut into deterministic, checkpoint-aligned
 :class:`FaultShard`s, golden runs and their checkpoint timelines are
 shared machine-wide through a content-addressed :class:`ArtifactCache`,
 per-shard outcomes are journaled append-only in a :class:`RunJournal`, and
-the :class:`ClusterEngine` fans the shards of a whole batch out across a
-worker pool — with ``repro resume <run_id>`` restarting a killed run from
-exactly the shards it was missing.  Merged outcomes are bit-identical to
-:class:`~repro.api.engine.SerialEngine`'s.
+the :class:`ClusterEngine` drives the shards of a whole batch through the
+:class:`~repro.cluster.remote.Coordinator`, which leases, heartbeats and
+work-steals over one :class:`~repro.cluster.transport.WorkerTransport`:
 
-Execution is pluggable below the engine: a
-:class:`~repro.cluster.transport.WorkerTransport` carries shards to
-hosts (local process pool, remote line-JSON agents, or the
-fault-injecting :class:`~repro.cluster.transport.FakeTransport` used in
-tests), and the :class:`~repro.cluster.remote.Coordinator` leases,
-heartbeats and work-steals over whichever transport is plugged in —
-:class:`RemoteClusterEngine` is the ``--engine remote --hosts ...`` face
-of that seam.
+* :class:`InlineTransport` — in this process, through the executor that
+  planned the batch (``--engine serial`` / ``checkpoint``);
+* :class:`LocalPoolTransport` — a local worker-process pool
+  (``--engine process`` / ``cluster``);
+* :class:`TcpAgentTransport` — remote line-JSON agents
+  (``--engine remote --hosts ...``);
+* :class:`FakeTransport` — the seeded chaos harness used in tests.
+
+``repro resume <run_id>`` restarts a killed run from exactly the shards
+it was missing.  Merged outcomes are bit-identical to a cold
+:meth:`Session.run <repro.api.session.Session.run>` on every transport.
 """
 
 from repro.cluster.artifacts import (
@@ -25,13 +26,14 @@ from repro.cluster.artifacts import (
     ArtifactCache,
     golden_cache_key,
 )
-from repro.cluster.engine import DEFAULT_CACHE_DIR, ClusterEngine
+from repro.cluster.engine import DEFAULT_CACHE_DIR, ClusterEngine, ShardExecutor
 from repro.cluster.journal import JournalError, RunJournal, journal_path
 from repro.cluster.merge import MergeError, merge_shard_outcomes
-from repro.cluster.remote import Coordinator, RemoteClusterEngine
+from repro.cluster.remote import Coordinator
 from repro.cluster.shards import DEFAULT_SHARD_SIZE, FaultShard, shard_faults
 from repro.cluster.transport import (
     FakeTransport,
+    InlineTransport,
     LocalPoolTransport,
     ShardTask,
     TcpAgentTransport,
@@ -48,11 +50,12 @@ __all__ = [
     "DEFAULT_SHARD_SIZE",
     "FakeTransport",
     "FaultShard",
+    "InlineTransport",
     "JournalError",
     "LocalPoolTransport",
     "MergeError",
-    "RemoteClusterEngine",
     "RunJournal",
+    "ShardExecutor",
     "ShardTask",
     "TcpAgentTransport",
     "TransportError",

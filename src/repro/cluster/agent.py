@@ -10,9 +10,10 @@ connection at a time over the line-JSON protocol in
    never contribute outcomes a different simulator produced;
 2. work — ``warm`` frames pre-build/load the golden artifact into this
    host's local :class:`~repro.cluster.artifacts.ArtifactCache`;
-   ``shard`` frames run the same worker entry point the process pool
-   uses (:func:`repro.cluster.engine._run_shard_worker`), so a shard
-   computed here is byte-identical to one computed anywhere else;
+   ``shard`` frames run the same shard executor the process pool and
+   the inline transport use (:class:`repro.cluster.engine.ShardExecutor`),
+   so a shard computed here is byte-identical to one computed anywhere
+   else;
 3. heartbeats — while a warm or shard is executing in the worker
    thread, the connection thread emits ``heartbeat`` frames every
    ``heartbeat_interval`` seconds so the coordinator's lease never
@@ -38,6 +39,7 @@ from repro.cluster.transport import (
     ConnectionClosedError,
     FrameTooLargeError,
     ProtocolError,
+    ShardTask,
     read_frame,
     write_frame,
 )
@@ -204,20 +206,24 @@ class AgentServer:
         send(box["reply"])
 
     def _do_warm(self, frame: Dict[str, Any]) -> Dict[str, Any]:
-        from repro.cluster.engine import _worker_golden
+        from repro.cluster.engine import worker_executor
         from repro.api.spec import CampaignSpec
 
         spec = CampaignSpec.from_dict(frame["spec"])
-        _worker_golden(spec, self.cache_dir, frame.get("checkpoint_interval"))
+        worker_executor(self.cache_dir).golden(
+            spec, frame.get("checkpoint_interval"))
         return {"kind": "warmed", "task_id": frame.get("task_id")}
 
     def _do_shard(self, frame: Dict[str, Any]) -> Dict[str, Any]:
-        from repro.cluster.engine import _run_shard_worker
+        from repro.cluster.engine import worker_executor
 
-        payload = _run_shard_worker(
-            frame["spec"], frame["shard"], self.cache_dir,
-            frame.get("checkpoint_interval"), bool(frame.get("obs")),
-        )
+        payload = worker_executor(self.cache_dir)(ShardTask(
+            task_id=str(frame.get("task_id")),
+            spec=frame["spec"],
+            shard=frame["shard"],
+            checkpoint_interval=frame.get("checkpoint_interval"),
+            obs_enabled=bool(frame.get("obs")),
+        ))
         return {"kind": "result", "task_id": frame.get("task_id"),
                 "payload": payload}
 

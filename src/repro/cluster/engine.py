@@ -1,27 +1,31 @@
-"""The cluster engine: intra-campaign fan-out with cache and journal.
+"""The one execution engine: plan, shard, journal, coordinate, merge.
 
-Where :class:`~repro.api.engine.ProcessPoolEngine` parallelises only
-*across* specs (a single 10k-fault campaign uses one core), the
-:class:`ClusterEngine` shards every campaign's injection targets into
-checkpoint-aligned :class:`~repro.cluster.shards.FaultShard`s and fans the
-shards of *all* campaigns in the batch out across one worker pool:
+Every ``--engine`` name runs a batch of campaign specs through the same
+:class:`ClusterEngine` lifecycle; only the transport that carries shards
+to their executor differs (see :func:`repro.api.engine.make_engine`):
 
-1. The coordinator resolves each spec through a checkpointing
+1. **Plan.** Each spec resolves through a checkpointing
    :class:`~repro.api.session.Session` backed by the on-disk
-   :class:`~repro.cluster.artifacts.ArtifactCache` — each distinct golden
-   run (and its checkpoint timeline) is built once per machine, then
-   warm-loaded by every worker process.
-2. Injection targets (the full fault list for comprehensive/both, the
-   MeRLiN group representatives for merlin-only) are sharded
-   deterministically and executed by pool workers, which restore from the
-   shared golden checkpoints and return per-fault outcomes.
-3. Every completed shard is journaled append-only
-   (:class:`~repro.cluster.journal.RunJournal`); a killed run resumes with
+   :class:`~repro.cluster.artifacts.ArtifactCache`, so each distinct golden
+   run (and its checkpoint timeline) is built once per machine, and only
+   one is held in memory at a time.
+2. **Shard.** Injection targets (the full fault list for comprehensive or
+   both, the MeRLiN group representatives for merlin-only) are cut into
+   deterministic, checkpoint-aligned
+   :class:`~repro.cluster.shards.FaultShard`s.
+3. **Journal.** Every completed shard is appended to a
+   :class:`~repro.cluster.journal.RunJournal`; a killed run resumes with
    ``resume=True`` (CLI: ``repro resume <run_id>``), re-executing only the
    missing shards.
-4. Shard outcomes merge into a :class:`~repro.api.result.CampaignOutcome`
-   bit-identical to :class:`~repro.api.engine.SerialEngine`'s — enforced
-   by ``tests/integration/test_cluster_equivalence.py``.
+4. **Coordinate.** The :class:`~repro.cluster.remote.Coordinator` leases
+   the shards of all campaigns in the batch to a transport: in-process
+   (:class:`~repro.cluster.transport.InlineTransport`), a local process
+   pool (:class:`~repro.cluster.transport.LocalPoolTransport`) or remote
+   agents (:class:`~repro.cluster.transport.TcpAgentTransport`).
+5. **Merge.** Shard outcomes merge into a
+   :class:`~repro.api.result.CampaignOutcome` bit-identical to a cold
+   ``Session().run(spec)`` — enforced by ``tests/api/test_engine.py`` and
+   ``tests/integration/test_cluster_equivalence.py``.
 
 Progress reports in work units: one unit per shard, plus one per campaign
 that is satisfied without sharding (reloaded from the result store).
@@ -42,7 +46,20 @@ from repro.api.store import ResultStore
 from repro.cluster.artifacts import ArtifactCache, golden_cache_key
 from repro.cluster.journal import JournalError, RunJournal, ShardOutcomes
 from repro.cluster.merge import merge_shard_outcomes
+from repro.cluster.remote import (
+    DEFAULT_LEASE_TIMEOUT,
+    DEFAULT_MAX_ATTEMPTS,
+    DEFAULT_POLL_INTERVAL,
+    Coordinator,
+    validate_shard_payload,
+)
 from repro.cluster.shards import DEFAULT_SHARD_SIZE, FaultShard, shard_faults
+from repro.cluster.transport import (
+    InlineTransport,
+    LocalPoolTransport,
+    ShardTask,
+    WorkerTransport,
+)
 from repro.core.grouping import GroupedFaults, group_faults
 from repro.core.intervals import build_interval_set
 from repro.faults.campaign import ComprehensiveCampaign, ProgressCallback
@@ -53,88 +70,114 @@ from repro.uarch.structures import TargetStructure, structure_geometry
 #: Default on-disk location for golden artifacts and run journals.
 DEFAULT_CACHE_DIR = ".repro-cache"
 
+#: Transports the engine builds itself; anything else is passed in as a
+#: :class:`~repro.cluster.transport.WorkerTransport` object.
+TRANSPORTS = ("inline", "pool")
+
 
 # ----------------------------------------------------------------------
-# Worker side
+# Shard execution (in-process, pool workers, agents)
 # ----------------------------------------------------------------------
-#: Per-process sessions keyed by (cache dir, interval): a long-lived pool
-#: worker pays the artifact load once per distinct golden (the session's
-#: in-memory memo), not once per shard.
-_WORKER_SESSIONS: Dict[Tuple[str, Optional[int]], Session] = {}
+class ShardExecutor:
+    """Execute shard tasks in this process over the artifact cache.
 
-
-def _worker_golden(spec: CampaignSpec, cache_dir: str,
-                   checkpoint_interval: Optional[int]) -> Tuple[GoldenRecord, bool]:
-    """The golden for ``spec`` in this worker process: memo, cache, or build.
-
-    Uses the *same* :meth:`Session.golden` lookup path as the coordinator
-    (identical interval resolution and artifact identity), so the two can
-    never drift.  Returns ``(golden, machine_cache_hit)``; the coordinator
-    stores every golden before sharding, so the build fallback only fires
-    when the artifact was evicted (or an external process wiped the cache)
-    between planning and execution — correctness never depends on the
-    cache.
+    One golden (with its checkpoint timeline) stays in memory at a time:
+    shards reach an executor grouped by campaign, and the artifact cache
+    holds every other golden.  The inline transport, pool workers, agents
+    and the fake transport all run shards through this class.
     """
-    key = (str(cache_dir), checkpoint_interval)
-    session = _WORKER_SESSIONS.get(key)
-    if session is None:
-        session = Session(
-            checkpointing=True,
-            checkpoint_interval=checkpoint_interval,
-            artifact_cache=ArtifactCache(cache_dir),
+
+    def __init__(self, cache_dir: Union[str, Path]):
+        self.cache = ArtifactCache(cache_dir)
+        self._resident: Optional[Tuple] = None
+        self._session: Optional[Session] = None
+
+    def session(self, spec: CampaignSpec,
+                checkpoint_interval: Optional[int]) -> Session:
+        """A checkpointing session over the cache, fresh for each new golden."""
+        key = (spec.golden_key(), checkpoint_interval)
+        if self._session is None or key != self._resident:
+            self._resident = key
+            self._session = Session(
+                checkpointing=True,
+                checkpoint_interval=checkpoint_interval,
+                artifact_cache=self.cache,
+            )
+        return self._session
+
+    def golden(self, spec: CampaignSpec,
+               checkpoint_interval: Optional[int]) -> Tuple[GoldenRecord, bool]:
+        """The golden for ``spec`` and whether it came without a simulation.
+
+        Uses the *same* :meth:`Session.golden` lookup path as the
+        coordinator (identical interval resolution and artifact identity),
+        so the two can never drift.  The coordinator stores every golden
+        before sharding, so a build here only happens when the artifact
+        was evicted between planning and execution — correctness never
+        depends on the cache.
+        """
+        misses = self.cache.misses
+        golden = self.session(spec, checkpoint_interval).golden(spec)
+        return golden, self.cache.misses == misses
+
+    def execute(self, spec: CampaignSpec, shard: FaultShard,
+                checkpoint_interval: Optional[int]) -> Dict[str, Any]:
+        """Inject one shard and return its (observability-free) payload."""
+        golden, cache_hit = self.golden(spec, checkpoint_interval)
+        faults = shard.fault_specs()
+        campaign = ComprehensiveCampaign(
+            golden,
+            FaultList(TargetStructure[shard.structure], faults),
+            use_checkpoints=True,
         )
-        _WORKER_SESSIONS[key] = session
-    misses_before = session.artifact_cache.misses
-    golden = session.golden(spec)
-    return golden, session.artifact_cache.misses == misses_before
+        outcomes = campaign.run_shard(faults)
+        return {
+            "shard_id": shard.shard_id(),
+            "golden_cache_hit": cache_hit,
+            "outcomes": {
+                str(fault_id): [outcome.effect.value, outcome.result.cycles]
+                for fault_id, outcome in outcomes.items()
+            },
+        }
+
+    def __call__(self, task: ShardTask) -> Dict[str, Any]:
+        """Run ``task``; with ``obs_enabled`` its metrics ride in ``"obs"``.
+
+        Observed shards run under their own worker context, wherever they
+        execute, so a delivery the coordinator drops (a duplicate, a torn
+        copy) drops its measurements with it.
+        """
+        spec = CampaignSpec.from_dict(task.spec)
+        shard = FaultShard.from_dict(task.shard)
+        if not task.obs_enabled:
+            return {**self.execute(spec, shard, task.checkpoint_interval),
+                    "obs": None}
+        with obs.observe(role="worker") as obs_ctx:
+            started = time.perf_counter()
+            with obs_ctx.span("shard", shard_id=shard.shard_id(),
+                              run_id=spec.run_id()):
+                payload = self.execute(spec, shard, task.checkpoint_interval)
+            obs_ctx.shard_executed(time.perf_counter() - started)
+            payload["obs"] = obs_ctx.drain_payload()
+            return payload
 
 
-def _run_shard_worker(spec_dict: Dict[str, Any], shard_dict: Dict[str, Any],
-                      cache_dir: str,
-                      checkpoint_interval: Optional[int],
-                      obs_enabled: bool = False) -> Dict[str, Any]:
-    """Pool worker: warm-load the golden, inject one shard, return outcomes.
-
-    Module-level so it pickles by reference; everything crossing the
-    process boundary is plain JSON-shaped data.  With ``obs_enabled`` the
-    worker runs under its own observability context and ships its metrics
-    and trace events home in the payload's ``"obs"`` slot; outcomes are
-    byte-identical either way.
-    """
-    spec = CampaignSpec.from_dict(spec_dict)
-    shard = FaultShard.from_dict(shard_dict)
-    if not obs_enabled:
-        return {**_execute_shard(spec, shard, cache_dir, checkpoint_interval),
-                "obs": None}
-    with obs.observe(role="worker") as obs_ctx:
-        started = time.perf_counter()
-        with obs_ctx.span("shard", shard_id=shard.shard_id(),
-                          run_id=spec.run_id()):
-            payload = _execute_shard(spec, shard, cache_dir, checkpoint_interval)
-        obs_ctx.shard_executed(time.perf_counter() - started)
-        payload["obs"] = obs_ctx.drain_payload()
-        return payload
+#: Per-process executors keyed by cache dir: a long-lived pool worker or
+#: agent loads a golden once per run of same-golden shards, not per shard.
+_WORKER_EXECUTORS: Dict[str, ShardExecutor] = {}
 
 
-def _execute_shard(spec: CampaignSpec, shard: FaultShard, cache_dir: str,
-                   checkpoint_interval: Optional[int]) -> Dict[str, Any]:
-    """The observability-free core of :func:`_run_shard_worker`."""
-    golden, cache_hit = _worker_golden(spec, cache_dir, checkpoint_interval)
-    faults = shard.fault_specs()
-    campaign = ComprehensiveCampaign(
-        golden,
-        FaultList(TargetStructure[shard.structure], faults),
-        use_checkpoints=True,
-    )
-    outcomes = campaign.run_shard(faults)
-    return {
-        "shard_id": shard.shard_id(),
-        "golden_cache_hit": cache_hit,
-        "outcomes": {
-            str(fault_id): [outcome.effect.value, outcome.result.cycles]
-            for fault_id, outcome in outcomes.items()
-        },
-    }
+def worker_executor(cache_dir: str) -> ShardExecutor:
+    """This process's executor over the artifact cache at ``cache_dir``."""
+    executor = _WORKER_EXECUTORS.get(str(cache_dir))
+    if executor is None:
+        executor = _WORKER_EXECUTORS[str(cache_dir)] = ShardExecutor(cache_dir)
+    return executor
+
+
+def _run_shard_worker(task: ShardTask, cache_dir: str) -> Dict[str, Any]:
+    """Pool-worker entry point (module-level so it pickles by reference)."""
+    return worker_executor(cache_dir)(task)
 
 
 # ----------------------------------------------------------------------
@@ -142,13 +185,16 @@ def _execute_shard(spec: CampaignSpec, shard: FaultShard, cache_dir: str,
 # ----------------------------------------------------------------------
 @dataclass
 class _CampaignPlan:
-    """One spec's resolved inputs and shard plan."""
+    """One spec's fault list, shard plan and journal.
+
+    The golden and (for MeRLiN) the fault grouping are resolved again for
+    the merge rather than kept here, so a batch holds one golden and its
+    checkpoint timeline in memory at a time, not all of them.
+    """
 
     index: int
     spec: CampaignSpec
-    golden: GoldenRecord
     fault_list: FaultList
-    grouped: Optional[GroupedFaults]
     shards: List[FaultShard]
     journal: RunJournal
     outcomes: Dict[int, Tuple[str, int]] = field(default_factory=dict)
@@ -157,39 +203,68 @@ class _CampaignPlan:
 
 
 class ClusterEngine:
-    """Shard campaigns across a worker pool, with cache and resume.
+    """Run campaigns as journaled shards over one transport.
+
+    ``transport`` is ``"inline"`` (shards run in this process through the
+    executor that planned them: no fork, no pickling), ``"pool"`` (a local
+    process pool of ``max_workers``, default one per core) or any
+    :class:`~repro.cluster.transport.WorkerTransport` object, such as a
+    :class:`~repro.cluster.transport.TcpAgentTransport` or, in tests, a
+    :class:`~repro.cluster.transport.FakeTransport`.  ``lease_timeout``,
+    ``poll_interval`` and ``max_attempts`` tune the
+    :class:`~repro.cluster.remote.Coordinator`.
 
     ``shard_size`` bounds faults per shard (default
     :data:`~repro.cluster.shards.DEFAULT_SHARD_SIZE`); ``cache_dir`` holds
     the golden artifacts and run journals.  A killed run's journaled
     shards are always preserved and reused on the next run of the same
-    plan (see :meth:`_journal_for`); ``resume=True`` makes that strict —
+    plan (see :meth:`_journal_for`); ``resume=True`` makes that strict:
     the journal must exist and match the plan, or the run fails instead
     of starting over.  ``checkpoint_interval`` tunes golden snapshot
-    spacing exactly as for the checkpoint engine.  Custom
-    (session-registered) programs are not resolvable in workers; use
-    :class:`SerialEngine` for those.
+    spacing in cycles (default: ~32 checkpoints per golden run).  Custom
+    (session-registered) programs are not resolvable here; run those
+    through :meth:`Session.run <repro.api.session.Session.run>`.
 
     After each :meth:`run`, :attr:`stats` holds the run's bookkeeping
-    (shards executed/reused, golden builds, worker cache hits, ...) —
+    (shards executed/reused, golden builds, worker cache hits, ...),
     deliberately *not* folded into the outcomes, which stay bit-identical
-    to the serial engine's.
+    across transports.
     """
-
-    name = "cluster"
 
     def __init__(self, max_workers: Optional[int] = None,
                  shard_size: Optional[int] = None,
                  cache_dir: Union[str, Path, None] = None,
                  resume: bool = False,
-                 checkpoint_interval: Optional[int] = None):
+                 checkpoint_interval: Optional[int] = None,
+                 transport: Union[str, WorkerTransport] = "pool",
+                 lease_timeout: float = DEFAULT_LEASE_TIMEOUT,
+                 poll_interval: float = DEFAULT_POLL_INTERVAL,
+                 max_attempts: int = DEFAULT_MAX_ATTEMPTS):
         if shard_size is not None and shard_size < 1:
             raise ValueError(f"shard_size must be >= 1, got {shard_size}")
+        if checkpoint_interval is not None and checkpoint_interval < 1:
+            raise ValueError(
+                f"checkpoint_interval must be >= 1 cycle, got {checkpoint_interval}"
+            )
+        if isinstance(transport, str) and transport not in TRANSPORTS:
+            raise ValueError(
+                f"unknown transport {transport!r}; expected one of "
+                f"{TRANSPORTS} or a WorkerTransport"
+            )
+        if max_workers is not None and transport != "pool":
+            raise ValueError(
+                "workers only applies to the pool transport (the process "
+                "and cluster engines)"
+            )
         self.max_workers = max_workers
         self.shard_size = shard_size if shard_size is not None else DEFAULT_SHARD_SIZE
         self.cache_dir = Path(cache_dir if cache_dir is not None else DEFAULT_CACHE_DIR)
         self.resume = resume
         self.checkpoint_interval = checkpoint_interval
+        self.transport = transport
+        self.lease_timeout = lease_timeout
+        self.poll_interval = poll_interval
+        self.max_attempts = max_attempts
         self.stats: Dict[str, int] = {}
 
     @property
@@ -203,13 +278,9 @@ class ClusterEngine:
         store: Optional[ResultStore] = None,
         progress: Optional[ProgressCallback] = None,
     ) -> List[CampaignOutcome]:
-        cache = ArtifactCache(self.cache_dir)
-        session = Session(
-            store=None,  # outcome persistence is the coordinator's job
-            checkpointing=True,
-            checkpoint_interval=self.checkpoint_interval,
-            artifact_cache=cache,
-        )
+        # Planning, merging and inline execution share one executor, so
+        # only one golden and its checkpoint timeline is in memory at a time.
+        executor = ShardExecutor(self.cache_dir)
         self.stats = {
             "campaigns": len(specs),
             "campaigns_from_store": 0,
@@ -233,7 +304,7 @@ class ClusterEngine:
         plans: List[_CampaignPlan] = []
         obs_ctx = obs.active()
 
-        # Phase 1 — resolve and shard every campaign (coordinator, serial).
+        # Phase 1: resolve and shard every campaign (coordinator, serial).
         with obs.span("cluster_plan", campaigns=len(specs)):
             for index, spec in enumerate(specs):
                 if store is not None:
@@ -244,8 +315,8 @@ class ClusterEngine:
                         if obs_ctx is not None:
                             obs_ctx.campaign_from_store()
                         continue
-                plans.append(self._plan(index, spec, session))
-        self.stats["golden_builds"] = cache.misses
+                plans.append(self._plan(index, spec, executor))
+        self.stats["golden_builds"] = executor.cache.misses
         self.stats["shards_total"] = sum(len(plan.shards) for plan in plans)
         self.stats["shards_reused"] = sum(
             len(plan.shards) - len(plan.pending) for plan in plans
@@ -266,35 +337,33 @@ class ClusterEngine:
         # Campaigns whose shards are all journaled (or empty) merge now.
         for plan in plans:
             if not plan.pending:
-                outcomes[plan.index] = self._finish(plan, store)
+                outcomes[plan.index] = self._finish(plan, store, executor)
 
-        # Phase 2 — execute the missing shards of all campaigns through
-        # the transport seam (local pool by default, remote agents or the
-        # fault-injecting fake behind the same coordinator loop).
+        # Phase 2: execute the missing shards of all campaigns through
+        # the transport.
         pending_plans = [plan for plan in plans if plan.pending]
         if pending_plans:
             self._execute_pending(
-                pending_plans, outcomes, store, progress,
-                done_units, total_units, obs_ctx,
+                pending_plans, executor, outcomes,
+                store, progress, done_units, total_units, obs_ctx,
             )
 
         return [outcome for outcome in outcomes if outcome is not None]
 
-    # ------------------------------------------------------------------
-    def _transport(self):
-        """The transport phase 2 fans out over; engines override this."""
-        from repro.cluster.transport import LocalPoolTransport
-
-        return LocalPoolTransport(max_workers=self.max_workers,
-                                  cache_dir=str(self.cache_dir))
-
-    def _coordinator_options(self) -> Dict[str, Any]:
-        """Extra :class:`~repro.cluster.remote.Coordinator` knobs."""
-        return {}
+    def _open_transport(self, executor: ShardExecutor) -> WorkerTransport:
+        """The transport phase 2 fans out over."""
+        if self.transport == "inline":
+            return InlineTransport(executor)
+        if self.transport == "pool":
+            return LocalPoolTransport(max_workers=self.max_workers,
+                                      cache_dir=str(self.cache_dir))
+        assert not isinstance(self.transport, str)
+        return self.transport
 
     def _execute_pending(
         self,
         pending_plans: List["_CampaignPlan"],
+        executor: ShardExecutor,
         outcomes: List[Optional[CampaignOutcome]],
         store: Optional[ResultStore],
         progress: Optional[ProgressCallback],
@@ -303,9 +372,6 @@ class ClusterEngine:
         obs_ctx: Optional[Any],
     ) -> None:
         """Run every pending shard exactly once via the coordinator."""
-        from repro.cluster.remote import Coordinator, validate_shard_payload
-        from repro.cluster.transport import ShardTask
-
         tasks: List[ShardTask] = []
         lookup: Dict[str, Tuple[_CampaignPlan, FaultShard]] = {}
         for plan in pending_plans:
@@ -340,7 +406,7 @@ class ClusterEngine:
             if progress is not None:
                 progress(state["done"], total_units)
             if not plan.pending:
-                outcomes[plan.index] = self._finish(plan, store)
+                outcomes[plan.index] = self._finish(plan, store, executor)
 
         def validate(task: ShardTask,
                      payload: Dict[str, Any]) -> Optional[str]:
@@ -351,8 +417,10 @@ class ClusterEngine:
             return f"campaign {plan.spec.describe()} {shard.describe()}"
 
         coordinator = Coordinator(
-            self._transport(), describe=describe,
-            **self._coordinator_options(),
+            self._open_transport(executor), describe=describe,
+            lease_timeout=self.lease_timeout,
+            poll_interval=self.poll_interval,
+            max_attempts=self.max_attempts,
         )
         coordinator.run(tasks, on_result, validate=validate)
 
@@ -371,21 +439,26 @@ class ClusterEngine:
                 obs_ctx.absorb_payload(obs_payloads[key])
 
     # ------------------------------------------------------------------
+    @staticmethod
+    def _grouping(spec: CampaignSpec, golden: GoldenRecord,
+                  fault_list: FaultList) -> Optional[GroupedFaults]:
+        """MeRLiN's fault grouping for ``spec``, ``None`` without MeRLiN."""
+        if not spec.runs_merlin:
+            return None
+        if golden.tracer is None:
+            raise ValueError(
+                f"campaign {spec.run_id()}: merlin needs a traced golden run"
+            )
+        return group_faults(
+            fault_list, build_interval_set(golden.tracer, spec.structure))
+
     def _plan(self, index: int, spec: CampaignSpec,
-              session: Session) -> _CampaignPlan:
-        """Resolve one spec into golden, targets, shards and journal."""
+              executor: ShardExecutor) -> _CampaignPlan:
+        """Cut one spec's injection targets into shards and open its journal."""
+        session = executor.session(spec, self.checkpoint_interval)
         golden = session.golden(spec)
         fault_list = session.fault_list(spec)
-
-        grouped: Optional[GroupedFaults] = None
-        if spec.runs_merlin:
-            if golden.tracer is None:
-                raise ValueError(
-                    f"campaign {spec.run_id()}: merlin needs a traced golden run"
-                )
-            intervals = build_interval_set(golden.tracer, spec.structure)
-            grouped = group_faults(fault_list, intervals)
-
+        grouped = self._grouping(spec, golden, fault_list)
         if spec.runs_comprehensive:
             targets = list(fault_list)
         else:
@@ -399,10 +472,8 @@ class ClusterEngine:
 
         journal = self._journal_for(spec, shards)
 
-        plan = _CampaignPlan(
-            index=index, spec=spec, golden=golden, fault_list=fault_list,
-            grouped=grouped, shards=shards, journal=journal,
-        )
+        plan = _CampaignPlan(index=index, spec=spec, fault_list=fault_list,
+                             shards=shards, journal=journal)
         for shard in shards:
             journaled = journal.completed.get(shard.shard_id())
             if journaled is not None:
@@ -463,17 +534,18 @@ class ClusterEngine:
         key = "worker_cache_hits" if cache_hit else "worker_cache_misses"
         self.stats[key] += 1
 
-    def _finish(self, plan: _CampaignPlan,
-                store: Optional[ResultStore]) -> CampaignOutcome:
+    def _finish(self, plan: _CampaignPlan, store: Optional[ResultStore],
+                executor: ShardExecutor) -> CampaignOutcome:
         """Merge a completed campaign, persist it, and close its journal."""
         elapsed = time.perf_counter() - plan.started if plan.started else 0.0
         with obs.span("merge", run_id=plan.spec.run_id()):
+            golden, _ = executor.golden(plan.spec, self.checkpoint_interval)
             outcome = merge_shard_outcomes(
                 plan.spec,
-                plan.golden,
+                golden,
                 structure_geometry(plan.spec.structure, plan.spec.config),
                 plan.fault_list,
-                plan.grouped,
+                self._grouping(plan.spec, golden, plan.fault_list),
                 plan.outcomes,
                 wall_clock_seconds=elapsed,
             )

@@ -1,22 +1,16 @@
 """repro.cluster.remote — lease/heartbeat coordination over any transport.
 
-The :class:`Coordinator` is the one scheduling loop behind both cluster
-engines.  It leases shards to hosts (one per free capacity slot), tracks
-heartbeats against a lease deadline, and *steals* — re-leases — shards
-from hosts that die mid-shard or fall silent past the deadline.  Results
-merge through the caller's journal exactly once: shard payloads are
+The :class:`Coordinator` is the one scheduling loop behind every engine
+alias (inline, pool and TCP transports alike).  It leases shards to
+hosts (one per free capacity slot), tracks heartbeats against a lease
+deadline, and *steals* — re-leases — shards from hosts that die
+mid-shard or fall silent past the deadline.  Results merge through the
+caller's journal exactly once: shard payloads are
 deterministic, so the first valid delivery wins and later duplicates are
 counted and dropped.  Torn payloads (validation failure) and transient
 transport errors retry with capped exponential backoff; a non-transient
 worker failure aborts the run, leaving the journal's completed shards
 for ``resume``.
-
-:class:`RemoteClusterEngine` is :class:`~repro.cluster.engine.ClusterEngine`
-with the transport swapped for remote agents (``--engine remote
---hosts host:port,...``), plus knobs for lease timeout, poll interval
-and retry budget.  Everything identity-bearing — planning, journaling,
-merging — is inherited unchanged, which is why the remote path stays
-bit-identical to :class:`~repro.api.engine.SerialEngine`.
 """
 
 from __future__ import annotations
@@ -24,7 +18,6 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass
-from pathlib import Path
 from typing import (
     Any,
     Callable,
@@ -39,7 +32,6 @@ from typing import (
 )
 
 from repro import obs
-from repro.cluster.engine import ClusterEngine
 from repro.cluster.shards import FaultShard
 from repro.resilience.retry import RetryPolicy
 from repro.cluster.transport import (
@@ -49,7 +41,6 @@ from repro.cluster.transport import (
     ShardFailed,
     ShardResult,
     ShardTask,
-    TcpAgentTransport,
     TransientTransportError,
     WorkerTransport,
 )
@@ -364,9 +355,9 @@ class Coordinator:
             return
         if not event.transient:
             raise RuntimeError(
-                f"{self.describe(task)} failed in a worker process: "
+                f"{self.describe(task)} failed in a worker ({event.host}): "
                 f"{event.error}"
-            )
+            ) from event.cause
         self.stats["retries"] += 1
         if self._obs is not None:
             self._obs.transport_retry()
@@ -423,60 +414,3 @@ class Coordinator:
         # Depth = work accepted but not completed: queued + leased.
         if self._obs is not None:
             self._obs.queue_depth(len(self._queue) + len(self._leases))
-
-
-class RemoteClusterEngine(ClusterEngine):
-    """:class:`ClusterEngine` over remote worker agents.
-
-    ``hosts`` is a comma-separated string or sequence of ``HOST:PORT``
-    agent addresses (``python -m repro.cluster.agent`` on each machine);
-    tests pass an explicit ``transport`` (usually a
-    :class:`~repro.cluster.transport.FakeTransport`) instead.  Planning,
-    journaling and merging are inherited from the cluster engine, so run
-    ids, journals and fingerprints are bit-identical to every other
-    engine — only the execution substrate changes.
-    """
-
-    name = "remote"
-
-    def __init__(self, hosts: Union[str, Sequence[str], None] = None,
-                 transport: Optional[WorkerTransport] = None,
-                 shard_size: Optional[int] = None,
-                 cache_dir: Union[str, Path, None] = None,
-                 resume: bool = False,
-                 checkpoint_interval: Optional[int] = None,
-                 lease_timeout: float = DEFAULT_LEASE_TIMEOUT,
-                 poll_interval: float = DEFAULT_POLL_INTERVAL,
-                 max_attempts: int = DEFAULT_MAX_ATTEMPTS):
-        super().__init__(
-            max_workers=None,
-            shard_size=shard_size,
-            cache_dir=cache_dir,
-            resume=resume,
-            checkpoint_interval=checkpoint_interval,
-        )
-        if transport is None:
-            addresses = parse_hosts(hosts)
-            if not addresses:
-                raise ValueError(
-                    "the remote engine needs --hosts HOST:PORT[,HOST:PORT...] "
-                    "or an explicit transport"
-                )
-            transport = TcpAgentTransport(addresses)
-        self.transport = transport
-        self.lease_timeout = lease_timeout
-        self.poll_interval = poll_interval
-        self.max_attempts = max_attempts
-
-    def _transport(self) -> WorkerTransport:
-        if getattr(self.transport, "cache_dir", "") is None:
-            # In-memory transports execute with the coordinator's cache.
-            self.transport.cache_dir = str(self.cache_dir)  # type: ignore[attr-defined]
-        return self.transport
-
-    def _coordinator_options(self) -> Dict[str, Any]:
-        return {
-            "lease_timeout": self.lease_timeout,
-            "poll_interval": self.poll_interval,
-            "max_attempts": self.max_attempts,
-        }

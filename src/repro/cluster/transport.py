@@ -1,4 +1,4 @@
-"""The pluggable worker-transport seam behind the cluster engines.
+"""The pluggable worker-transport seam behind the execution engine.
 
 A :class:`WorkerTransport` is how a coordinator ships
 :class:`ShardTask`s to injection hosts and hears back about them.  The
@@ -7,17 +7,22 @@ contract is deliberately narrow — ``open`` / ``dispatch`` / ``warm`` /
 the lease/heartbeat/work-stealing loop in :mod:`repro.cluster.remote`
 is written once and runs unchanged over:
 
-* :class:`LocalPoolTransport` — today's ``ProcessPoolExecutor`` fan-out
-  (the default behind :class:`~repro.cluster.engine.ClusterEngine`),
-  where hosts are virtual lease slots on this machine and heartbeats
-  are synthesised (a local future cannot silently vanish);
+* :class:`InlineTransport` — shards run one at a time in this process,
+  through the coordinator's own shard executor (``--engine serial`` and
+  ``checkpoint``);
+* :class:`LocalPoolTransport` — a ``ProcessPoolExecutor`` fan-out
+  (``--engine process`` and ``cluster``), where hosts are virtual lease
+  slots on this machine and heartbeats are synthesised (a local future
+  cannot silently vanish);
 * ``TcpAgentTransport`` (below) — line-JSON worker agents started with
-  ``python -m repro.cluster.agent`` on remote machines;
+  ``python -m repro.cluster.agent`` on remote machines (``--engine
+  remote``);
 * :class:`FakeTransport` — the in-memory chaos harness: a deterministic
   action schedule injects host deaths mid-shard, silent hangs, torn
-  payloads, duplicate deliveries and transient failures, which is how
+  payloads, duplicate deliveries and transient failures over the same
+  in-process shard executor as :class:`InlineTransport`, which is how
   the remote path is held to the same bit-identical standard as every
-  other engine without real machines.
+  other transport without real machines.
 
 The wire format shared with the agent is one JSON object per line
 (``\\n``-terminated, UTF-8, size-capped).  Every decode failure maps to
@@ -35,7 +40,7 @@ import select
 import socket
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Protocol, Sequence, Tuple, Union
 
 from repro.resilience.retry import RetryPolicy
@@ -213,12 +218,17 @@ class ShardResult:
 
 @dataclass(frozen=True)
 class ShardFailed:
-    """A host reports the shard raised; ``transient`` failures retry."""
+    """A host reports the shard raised; ``transient`` failures retry.
+
+    ``cause`` is the exception itself when it was raised in (or shipped
+    back to) this process, so the coordinator can chain it.
+    """
 
     host: str
     task_id: str
     error: str
     transient: bool
+    cause: Optional[BaseException] = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -270,8 +280,61 @@ class WorkerTransport(Protocol):
         ...
 
 
+#: Runs one shard task in this process and returns its result payload.
+ShardRunner = Callable[[ShardTask], Dict[str, Any]]
+
+
 # ----------------------------------------------------------------------
-# LocalPoolTransport — today's process pool behind the seam
+# InlineTransport — shards in this process, no fork, no pickling
+# ----------------------------------------------------------------------
+class InlineTransport:
+    """One in-process host that runs each dispatched shard on ``poll``.
+
+    ``executor`` is the engine's own
+    :class:`~repro.cluster.engine.ShardExecutor`, which also planned the
+    batch, so a golden just planned is an in-memory hit.  A shard
+    either completes or raises inside ``poll``, so no heartbeat is ever
+    needed and a failure is reported with the exception attached.
+    """
+
+    name = "inline"
+
+    def __init__(self, executor: ShardRunner):
+        self.executor = executor
+        self._queue: List[Tuple[str, ShardTask]] = []
+
+    def open(self) -> List[str]:
+        self._queue = []
+        return ["inline/0"]
+
+    def capacity(self, host: str) -> int:
+        return 1
+
+    def warm(self, host: str, task: ShardTask) -> None:
+        return None
+
+    def dispatch(self, host: str, task: ShardTask) -> None:
+        self._queue.append((host, task))
+
+    def poll(self, timeout: float) -> List[TransportEvent]:
+        events: List[TransportEvent] = []
+        queue, self._queue = self._queue, []
+        for host, task in queue:
+            try:
+                payload = self.executor(task)
+            except Exception as failure:
+                events.append(ShardFailed(host, task.task_id, repr(failure),
+                                          transient=False, cause=failure))
+            else:
+                events.append(ShardResult(host, task.task_id, payload))
+        return events
+
+    def close(self) -> None:
+        self._queue = []
+
+
+# ----------------------------------------------------------------------
+# LocalPoolTransport — a process pool behind the seam
 # ----------------------------------------------------------------------
 class LocalPoolTransport:
     """Process-pool workers on this machine, presented as lease slots.
@@ -315,10 +378,7 @@ class LocalPoolTransport:
         from repro.cluster import engine as _engine
 
         future = self._pool.submit(
-            _engine._run_shard_worker,
-            task.spec, task.shard, str(self.cache_dir),
-            task.checkpoint_interval, task.obs_enabled,
-        )
+            _engine._run_shard_worker, task, str(self.cache_dir))
         self._futures[future] = (host, task)
 
     def poll(self, timeout: float) -> List[TransportEvent]:
@@ -332,8 +392,8 @@ class LocalPoolTransport:
             try:
                 payload = future.result()
             except Exception as failure:
-                events.append(ShardFailed(host, task.task_id,
-                                          repr(failure), transient=False))
+                events.append(ShardFailed(host, task.task_id, repr(failure),
+                                          transient=False, cause=failure))
             else:
                 events.append(ShardResult(host, task.task_id, payload))
         for host, task in self._futures.values():
@@ -366,7 +426,7 @@ def _parse_action(action: str) -> Tuple[str, int]:
 
 
 class FakeTransport:
-    """In-memory transport that executes shards inline, with chaos.
+    """In-memory transport that executes shards in this process, with chaos.
 
     Each dispatch consumes the next entry of ``schedule`` (``"run"``
     once exhausted).  Time is a synthetic tick: every ``poll`` advances
@@ -394,9 +454,11 @@ class FakeTransport:
     coordinator is concerned it died at the missed deadline (size
     ``late``'s ``k`` above the coordinator's lease timeout in ticks).
 
-    ``executor`` maps a :class:`ShardTask` to its result payload; the
-    default runs the real worker entry point in-process (deterministic,
-    cache-warm), property tests inject a cheap synthetic one.
+    ``executor`` maps a :class:`ShardTask` to its result payload.  The
+    default is the :class:`~repro.cluster.engine.ShardExecutor` that
+    :class:`InlineTransport` runs, over the artifact cache at
+    ``cache_dir``, which it then requires; property tests inject a cheap
+    synthetic one instead.
     """
 
     name = "fake"
@@ -404,7 +466,7 @@ class FakeTransport:
     def __init__(self, workers: int = 2,
                  cache_dir: Optional[str] = None,
                  schedule: Optional[Sequence[str]] = None,
-                 executor: Optional[Callable[[ShardTask], Dict[str, Any]]] = None,
+                 executor: Optional[ShardRunner] = None,
                  protect_last_host: bool = True,
                  tick: float = 1.0):
         if workers < 1:
@@ -412,12 +474,18 @@ class FakeTransport:
         for action in schedule or ():
             _parse_action(action)  # validate eagerly, not mid-run
         self.workers = workers
-        self.cache_dir = cache_dir
         self.schedule = list(schedule or ())
         self.protect_last_host = protect_last_host
         self.tick = tick
         self.now = 0.0
-        self._executor = executor or self._run_inline
+        if executor is None:
+            if cache_dir is None:
+                raise ValueError(
+                    "FakeTransport needs a cache_dir or an executor")
+            from repro.cluster.engine import ShardExecutor
+
+            executor = ShardExecutor(cache_dir)
+        self._executor = executor
         self._cursor = 0
         self._alive: List[str] = []
         self._running: Dict[str, Dict[str, Any]] = {}
@@ -528,14 +596,6 @@ class FakeTransport:
         self._running = {}
 
     # ------------------------------------------------------------------
-    def _run_inline(self, task: ShardTask) -> Dict[str, Any]:
-        from repro.cluster import engine as _engine
-
-        return _engine._run_shard_worker(
-            task.spec, task.shard, str(self.cache_dir),
-            task.checkpoint_interval, task.obs_enabled,
-        )
-
     @staticmethod
     def _tear(payload: Dict[str, Any]) -> Dict[str, Any]:
         """A result torn mid-transfer: some per-fault outcomes missing."""

@@ -142,15 +142,6 @@ class FaultSpec:
         ]
         return {cycle: list(per_cycle) for cycle in self.active_cycles()}
 
-    def as_plan_entry(self) -> Tuple[int, Tuple[TargetStructure, int, int]]:
-        """The anchor's (cycle, flip) pair, in the legacy 3-tuple plan form.
-
-        Retained for single-bit callers and tests; windowed or multi-site
-        specs must use :meth:`plan` (this method only describes the
-        anchor application).
-        """
-        return self.cycle, (self.structure, self.entry, self.bit)
-
     # ------------------------------------------------------------------
     # Payload round-trip (cluster shards, journals, property tests)
     # ------------------------------------------------------------------

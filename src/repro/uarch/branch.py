@@ -36,9 +36,10 @@ class TournamentPredictor:
         self._global_size = config.global_predictor_entries
         self._chooser_size = config.chooser_entries
         self._history_mask = (1 << config.global_history_bits) - 1
-        self._local_table: List[int] = [1] * self._local_size
-        self._global_table: List[int] = [1] * self._global_size
-        self._chooser: List[int] = [1] * self._chooser_size
+        # 2-bit counters, one byte each: a snapshot or restore is one copy.
+        self._local_table = bytearray(b"\x01") * self._local_size
+        self._global_table = bytearray(b"\x01") * self._global_size
+        self._chooser = bytearray(b"\x01") * self._chooser_size
         self.global_history = 0
         # Delta-checkpoint support: (table, index) pairs mutated since the
         # last drain, with table in {"local", "global", "chooser"} (None
@@ -108,21 +109,24 @@ class TournamentPredictor:
         (Named ``snapshot_state`` because :meth:`snapshot_history` already
         names the per-branch history checkpoint used on squashes.)
         Snapshot/restore contract: immutable, picklable, ``==`` iff the
-        predictors are bit-identical.
+        predictors are bit-identical.  Each table is ``bytes``, one byte
+        per 2-bit counter: a checkpoint timeline holds one composed copy
+        per checkpoint, and a tuple of ints would take eight times the
+        memory.
         """
         return (
-            tuple(self._local_table),
-            tuple(self._global_table),
-            tuple(self._chooser),
+            bytes(self._local_table),
+            bytes(self._global_table),
+            bytes(self._chooser),
             self.global_history,
         )
 
     def restore_state(self, state: Tuple) -> None:
         """Restore the predictor in place from a :meth:`snapshot_state` value."""
         local, global_, chooser, self.global_history = state
-        self._local_table = list(local)
-        self._global_table = list(global_)
-        self._chooser = list(chooser)
+        self._local_table = bytearray(local)
+        self._global_table = bytearray(global_)
+        self._chooser = bytearray(chooser)
         self._dirty = None
 
     def begin_dirty_tracking(self) -> None:

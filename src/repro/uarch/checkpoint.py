@@ -475,7 +475,8 @@ def compose_state(prev: CpuState, delta: DeltaState) -> CpuState:
 
     (local, global_, chooser, _), (btb_tags, btb_targets) = prev.branch
     if delta.predictor_entries:
-        local, global_, chooser = list(local), list(global_), list(chooser)
+        local, global_, chooser = (bytearray(local), bytearray(global_),
+                                   bytearray(chooser))
         for (table, index), value in delta.predictor_entries.items():
             if table == "local":
                 local[index] = value
@@ -483,7 +484,7 @@ def compose_state(prev: CpuState, delta: DeltaState) -> CpuState:
                 global_[index] = value
             else:
                 chooser[index] = value
-        local, global_, chooser = tuple(local), tuple(global_), tuple(chooser)
+        local, global_, chooser = bytes(local), bytes(global_), bytes(chooser)
     if delta.btb_entries:
         btb_tags, btb_targets = list(btb_tags), list(btb_targets)
         for index, (tag, target) in delta.btb_entries.items():
@@ -909,6 +910,11 @@ class CheckpointTimeline:
                 index: line for index, line in enumerate(lines) if line != default
             }
             fields["dcache"] = (len(lines), line_bytes, sparse_lines, l2_state, tick)
+            # Predictor tables are ``bytes`` in memory and tuples on disk,
+            # so artifacts keep the layout they had before the change.
+            (local, global_, chooser, history), btb = fields["branch"]
+            fields["branch"] = (
+                (tuple(local), tuple(global_), tuple(chooser), history), btb)
             base_payload = tuple(
                 fields[name] for name in CpuState.__dataclass_fields__
             )
@@ -937,6 +943,9 @@ class CheckpointTimeline:
                 l2_state,
                 tick,
             )
+            (local, global_, chooser, history), btb = fields["branch"]
+            fields["branch"] = (
+                (bytes(local), bytes(global_), bytes(chooser), history), btb)
             base = CpuState(**fields)
             timeline._records.append(base)
             timeline._composed.append(base)

@@ -459,15 +459,9 @@ class OutOfOrderCpu:
         flips = self.fault_plan.get(self.cycle)
         if not flips:
             return
-        for flip in flips:
-            # Legacy 3-tuple plans mean a transient XOR; generalized plans
-            # carry an explicit BitOp (flip, or set0/set1 for stuck-at
-            # windows re-applied at every cycle boundary of the window).
-            if len(flip) == 3:
-                structure, entry, bit = flip
-                op = BitOp.FLIP
-            else:
-                structure, entry, bit, op = flip
+        # Each application carries an explicit BitOp: flip, or set0/set1
+        # for stuck-at windows re-applied at every cycle of the window.
+        for structure, entry, bit, op in flips:
             if structure is TargetStructure.RF:
                 target = self.prf
             elif structure is TargetStructure.SQ:

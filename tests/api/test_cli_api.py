@@ -18,10 +18,11 @@ def run_cli(capsys, argv):
     return code, out
 
 
-def test_run_json_matches_python_api(capsys):
+def test_run_json_matches_python_api(tmp_path, capsys):
     code, out = run_cli(capsys, [
         "run", "--workload", "sha", "--structure", "RF",
         "--registers", "64", "--faults", "60", "--scale", "1", "--json",
+        "--cache-dir", str(tmp_path),
     ])
     assert code == 0
     payload = json.loads(out)
@@ -36,10 +37,11 @@ def test_run_json_matches_python_api(capsys):
     assert payload["merlin"]["counts"] == outcome.merlin.counts
 
 
-def test_run_with_checkpoint_engine_matches_serial(capsys):
+def test_run_with_checkpoint_engine_matches_serial(tmp_path, capsys):
     argv = [
         "run", "--workload", "sha", "--structure", "RF",
         "--registers", "64", "--faults", "60", "--scale", "1", "--json",
+        "--cache-dir", str(tmp_path),
     ]
     code, serial_out = run_cli(capsys, argv)
     assert code == 0
@@ -54,10 +56,10 @@ def test_run_with_checkpoint_engine_matches_serial(capsys):
     assert checkpoint_payload["merlin"]["avf"] == serial_payload["merlin"]["avf"]
 
 
-def test_run_method_comprehensive(capsys):
+def test_run_method_comprehensive(tmp_path, capsys):
     code, out = run_cli(capsys, [
         "run", "--workload", "sha", "--faults", "30", "--scale", "1",
-        "--method", "comprehensive",
+        "--method", "comprehensive", "--cache-dir", str(tmp_path),
     ])
     assert code == 0
     assert "baseline: 30 injections" in out
@@ -69,6 +71,7 @@ def test_sweep_json_and_store_report(tmp_path, capsys):
     code, out = run_cli(capsys, [
         "sweep", "--workloads", "sha,qsort", "--structures", "RF",
         "--faults", "40", "--scale", "1", "--store", store_dir, "--json",
+        "--cache-dir", str(tmp_path / "cache"),
     ])
     assert code == 0
     payload = json.loads(out)
@@ -93,7 +96,7 @@ def test_sweep_json_and_store_report(tmp_path, capsys):
 def test_sweep_text_table(tmp_path, capsys):
     code, out = run_cli(capsys, [
         "sweep", "--workloads", "sha", "--structures", "RF",
-        "--faults", "40", "--scale", "1",
+        "--faults", "40", "--scale", "1", "--cache-dir", str(tmp_path),
     ])
     assert code == 0
     assert "run_id" in out and "sha" in out
@@ -147,7 +150,8 @@ def test_python_dash_m_repro_entry_point():
 def test_run_reuses_store(tmp_path, capsys):
     store_dir = str(tmp_path / "cache")
     argv = ["run", "--workload", "sha", "--faults", "30", "--scale", "1",
-            "--store", store_dir, "--json"]
+            "--store", store_dir, "--json",
+            "--cache-dir", str(tmp_path / "engine-cache")]
     _, first = run_cli(capsys, argv)
     _, second = run_cli(capsys, argv)
     assert json.loads(first) == json.loads(second)

@@ -7,7 +7,7 @@ unknown kinds must each draw one typed ``error`` frame (when the agent
 can still answer) followed by a dropped connection — and the agent must
 never execute a frame it could not fully parse.  The final test runs a
 real campaign through :class:`~repro.cluster.transport.TcpAgentTransport`
-end to end and checks the fingerprint against the serial engine.
+end to end and checks the fingerprint against a cold session run.
 """
 
 from __future__ import annotations
@@ -19,9 +19,9 @@ import time
 import pytest
 
 import repro.cluster.transport as transport_module
-from repro.api import CampaignSpec, SerialEngine
+from repro.api import CampaignSpec, Session
+from repro.cluster import ClusterEngine
 from repro.cluster.agent import AgentServer
-from repro.cluster.remote import RemoteClusterEngine
 from repro.cluster.transport import (
     PROTOCOL_VERSION,
     HandshakeError,
@@ -191,8 +191,8 @@ def test_remote_engine_over_real_sockets_matches_serial(agent, tmp_path):
         workload="sha", structure=TargetStructure.RF, config=small_config(),
         scale=1, faults=12, seed=3, method="comprehensive",
     )
-    reference = SerialEngine().run([spec])[0].classification_fingerprint()
-    engine = RemoteClusterEngine(
+    reference = Session().run(spec).classification_fingerprint()
+    engine = ClusterEngine(
         transport=TcpAgentTransport([f"127.0.0.1:{agent.address[1]}"]),
         shard_size=5, cache_dir=tmp_path / "coordinator-cache",
     )

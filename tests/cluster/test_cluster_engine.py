@@ -3,7 +3,8 @@
 import pytest
 
 from repro.api import CampaignSpec, ResultStore, make_engine
-from repro.cluster import ClusterEngine, JournalError, RunJournal
+from repro.cluster import ClusterEngine, JournalError, RunJournal, ShardExecutor
+from repro.testing import small_config
 from repro.uarch.structures import TargetStructure
 
 
@@ -24,19 +25,36 @@ def test_make_engine_builds_cluster(tmp_path):
     assert not engine.resume
 
 
-def test_make_engine_rejects_cluster_flags_elsewhere(tmp_path):
-    with pytest.raises(ValueError, match="shard_size"):
-        make_engine("serial", shard_size=10)
-    with pytest.raises(ValueError, match="cache_dir"):
-        make_engine("process", cache_dir=str(tmp_path))
-    with pytest.raises(ValueError, match="resume"):
-        make_engine("checkpoint", resume=True)
+def test_cluster_settings_apply_to_every_local_alias(tmp_path):
+    for alias in ("serial", "process", "checkpoint"):
+        engine = make_engine(alias, shard_size=10, cache_dir=str(tmp_path),
+                             resume=True)
+        assert (engine.shard_size, engine.cache_dir, engine.resume) == (
+            10, tmp_path, True)
     with pytest.raises(ValueError, match="shard_size"):
         ClusterEngine(shard_size=0)
 
 
 def test_empty_batch(tmp_path):
     assert ClusterEngine(cache_dir=tmp_path).run([]) == []
+
+
+def test_executor_keeps_one_golden_in_memory(tmp_path):
+    executor = ShardExecutor(tmp_path / "cache")
+    sha_rf = tiny_spec(config=small_config())
+    sha_sq = tiny_spec(config=small_config(), structure=TargetStructure.SQ)
+    qsort = tiny_spec(config=small_config(), workload="qsort")
+    first, from_cache = executor.golden(sha_rf, None)
+    assert not from_cache
+    # Campaigns sharing a golden share the one in memory.
+    shared, from_cache = executor.golden(sha_sq, None)
+    assert shared is first and from_cache
+    executor.golden(qsort, None)
+    assert executor.session(qsort, None).cache_info()["goldens"] == 1
+    # An evicted golden comes back from the artifact cache, not a rebuild.
+    again, from_cache = executor.golden(sha_rf, None)
+    assert from_cache and again is not first
+    assert again.cycles == first.cycles
 
 
 def test_store_short_circuits_a_stored_campaign(tmp_path):

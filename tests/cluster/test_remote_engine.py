@@ -13,14 +13,17 @@ import pytest
 
 from repro import obs
 from repro.api.engine import ENGINES, make_engine
+from repro.api import CampaignSpec
+from repro.cluster import ClusterEngine
 from repro.cluster.remote import (
     Coordinator,
-    RemoteClusterEngine,
     parse_hosts,
     validate_shard_payload,
 )
 from repro.cluster.shards import FaultShard
-from repro.cluster.transport import FakeTransport, ShardTask
+from repro.cluster.transport import FakeTransport, ShardTask, TcpAgentTransport
+from repro.testing import small_config
+from repro.uarch.structures import TargetStructure
 
 
 def make_world(count: int):
@@ -223,22 +226,28 @@ def test_validate_shard_payload_catalogue():
 def test_remote_is_a_registered_engine():
     assert "remote" in ENGINES
     engine = make_engine("remote", hosts="127.0.0.1:7651")
-    assert isinstance(engine, RemoteClusterEngine)
-    assert engine.name == "remote"
+    assert isinstance(engine, ClusterEngine)
+    assert isinstance(engine.transport, TcpAgentTransport)
+    assert engine.transport.hosts == ["127.0.0.1:7651"]
 
 
 def test_remote_engine_requires_hosts_or_transport():
     with pytest.raises(ValueError, match="--hosts"):
-        RemoteClusterEngine()
-    engine = RemoteClusterEngine(transport=FakeTransport(workers=1))
-    assert engine.transport is not None
+        make_engine("remote")
+    transport = FakeTransport(workers=1, executor=synthetic_executor)
+    assert ClusterEngine(transport=transport).transport is transport
+    with pytest.raises(ValueError, match="unknown transport"):
+        ClusterEngine(transport="carrier-pigeon")
 
 
 def test_make_engine_rejects_misplaced_flags():
     with pytest.raises(ValueError, match="hosts only applies"):
         make_engine("serial", hosts="127.0.0.1:7651")
-    with pytest.raises(ValueError, match="workers does not apply"):
+    with pytest.raises(ValueError, match="workers only applies"):
         make_engine("remote", hosts="127.0.0.1:7651", max_workers=4)
+    with pytest.raises(ValueError, match="workers only applies"):
+        ClusterEngine(max_workers=2, transport=FakeTransport(
+            workers=1, executor=synthetic_executor))
     with pytest.raises(ValueError):
         make_engine("remote")  # no hosts
 
@@ -254,10 +263,22 @@ def test_parse_hosts_formats():
         parse_hosts("host:notaport")
 
 
-def test_remote_engine_cache_dir_flows_into_transport(tmp_path):
-    transport = FakeTransport(workers=1, executor=synthetic_executor)
-    engine = RemoteClusterEngine(transport=transport,
-                                 cache_dir=tmp_path / "cache")
-    assert transport.cache_dir is None
-    engine._transport()
-    assert transport.cache_dir == str(tmp_path / "cache")
+def test_fake_transport_executes_with_the_cache_it_is_given(tmp_path):
+    """The engine never reconfigures a transport it was handed: a fake
+    given the coordinator's cache loads every golden from it."""
+    cache = tmp_path / "cache"
+    spec = CampaignSpec(workload="sha", structure=TargetStructure.RF,
+                        config=small_config(), scale=1, faults=20, seed=4,
+                        method="comprehensive")
+    transport = FakeTransport(workers=2, cache_dir=str(cache))
+    engine = ClusterEngine(transport=transport, shard_size=5, cache_dir=cache)
+    engine.run([spec])
+    shards = engine.stats["shards_executed"]
+    assert shards == engine.stats["shards_total"] > 1
+    assert engine.stats["worker_cache_misses"] == 0
+    assert engine.stats["worker_cache_hits"] == shards
+
+
+def test_fake_transport_needs_a_cache_or_an_executor():
+    with pytest.raises(ValueError, match="cache_dir or an executor"):
+        FakeTransport(workers=1)

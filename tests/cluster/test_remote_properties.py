@@ -22,7 +22,7 @@ from hypothesis import given, settings, strategies as st
 from repro.api.session import Session
 from repro.api.spec import CampaignSpec
 from repro.cluster.artifacts import ArtifactCache
-from repro.cluster.engine import _execute_shard
+from repro.cluster.engine import ShardExecutor
 from repro.cluster.merge import merge_shard_outcomes
 from repro.cluster.remote import Coordinator, validate_shard_payload
 from repro.cluster.shards import FaultShard, shard_faults
@@ -93,8 +93,8 @@ def merge_world(tmp_path_factory):
     fault_list = session.fault_list(spec)
     shards = shard_faults(spec.run_id(), list(fault_list),
                           golden.checkpoints, 7)
-    payloads = [_execute_shard(spec, shard, cache_dir, None)
-                for shard in shards]
+    executor = ShardExecutor(cache_dir=cache_dir)
+    payloads = [executor.execute(spec, shard, None) for shard in shards]
     return spec, golden, fault_list, payloads
 
 

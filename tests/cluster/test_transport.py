@@ -21,6 +21,7 @@ from repro.cluster.transport import (
     FrameTooLargeError,
     Heartbeat,
     HostDown,
+    InlineTransport,
     LocalPoolTransport,
     ProtocolError,
     ShardFailed,
@@ -112,8 +113,8 @@ def test_local_transport_runs_patched_worker(monkeypatch, tmp_path):
     # must resolve it late so the seam stays patchable.
     calls = {}
 
-    def fake_worker(spec, shard, cache_dir, interval, obs_enabled=False):
-        calls["args"] = (spec, shard, cache_dir, interval, obs_enabled)
+    def fake_worker(task, cache_dir):
+        calls["args"] = (task, cache_dir)
         return {"shard_id": "s", "outcomes": {}}
 
     import repro.cluster.engine as engine_module
@@ -138,7 +139,7 @@ def test_local_transport_runs_patched_worker(monkeypatch, tmp_path):
     transport.dispatch(hosts[0], task_of())
     events = transport.poll(timeout=1.0)
     assert [type(event) for event in events] == [ShardResult]
-    assert calls["args"][2] == str(tmp_path)
+    assert calls["args"] == (task_of(), str(tmp_path))
     transport.close()
 
 
@@ -169,11 +170,37 @@ def test_local_transport_failure_is_not_transient(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# FakeTransport
+# FakeTransport and InlineTransport
 # ----------------------------------------------------------------------
 def synthetic(task: ShardTask) -> dict:
     return {"shard_id": task.task_id, "outcomes": {"1": ["Masked", 10],
                                                    "2": ["SDC", 11]}}
+
+
+def test_inline_transport_runs_dispatched_shards_on_poll():
+    transport = InlineTransport(synthetic)
+    hosts = transport.open()
+    assert hosts == ["inline/0"]
+    assert transport.capacity(hosts[0]) == 1
+    transport.dispatch(hosts[0], task_of("a"))
+    assert transport.poll(0.0) == [
+        ShardResult(hosts[0], "a", synthetic(task_of("a")))]
+    assert transport.poll(0.0) == []
+    transport.close()
+
+
+def test_inline_transport_reports_failures_with_their_cause():
+    def broken(task: ShardTask) -> dict:
+        raise ValueError("bad shard")
+
+    transport = InlineTransport(broken)
+    hosts = transport.open()
+    transport.dispatch(hosts[0], task_of())
+    [failure] = transport.poll(0.0)
+    assert isinstance(failure, ShardFailed)
+    assert not failure.transient
+    assert "bad shard" in failure.error
+    assert isinstance(failure.cause, ValueError)
 
 
 def test_fake_transport_rejects_unknown_actions_eagerly():

@@ -14,7 +14,7 @@ from repro.faults.sampling import (
     required_sample_size,
 )
 from repro.uarch.config import MicroarchConfig
-from repro.uarch.structures import TargetStructure, structure_geometry
+from repro.uarch.structures import BitOp, TargetStructure, structure_geometry
 
 
 def _geometry(structure=TargetStructure.RF, regs=64):
@@ -24,9 +24,7 @@ def _geometry(structure=TargetStructure.RF, regs=64):
 def test_fault_spec_byte_and_plan_entry():
     fault = FaultSpec(3, TargetStructure.RF, entry=7, bit=20, cycle=100)
     assert fault.byte == 2
-    cycle, flip = fault.as_plan_entry()
-    assert cycle == 100
-    assert flip == (TargetStructure.RF, 7, 20)
+    assert fault.plan() == {100: [(TargetStructure.RF, 7, 20, BitOp.FLIP)]}
     assert "RF" in fault.describe()
 
 

@@ -113,7 +113,6 @@ def test_single_bit_faults_are_canonical():
     assert fault.last_active_cycle == 100
     assert fault.op is BitOp.FLIP
     assert fault.plan() == {100: [(TargetStructure.RF, 3, 20, BitOp.FLIP)]}
-    assert fault.as_plan_entry() == (100, (TargetStructure.RF, 3, 20))
 
 
 def test_multi_bit_burst_is_adjacent_within_entry():

@@ -1,12 +1,12 @@
-"""Differential harness: the cluster engine must be bit-identical to serial.
+"""Differential harness: sharded execution must be bit-identical to cold.
 
-Extends PR 2's checkpoint differential harness one level up: a campaign
+Extends the checkpoint differential harness one level up: a campaign
 sharded across worker processes — any worker count, any shard size, cold
 or warm artifact cache, fresh or resumed after a simulated kill — must
 merge into a :class:`~repro.api.result.CampaignOutcome` whose
 classification fingerprint (everything except wall-clock timings) equals
-:class:`~repro.api.engine.SerialEngine`'s, for comprehensive, MeRLiN and
-combined campaigns alike.
+a cold :meth:`Session.run <repro.api.session.Session.run>`'s, for
+comprehensive, MeRLiN and combined campaigns alike.
 """
 
 from __future__ import annotations
@@ -16,9 +16,8 @@ from dataclasses import dataclass
 
 import pytest
 
-from repro.api import CampaignSpec, ResultStore, SerialEngine
+from repro.api import CampaignSpec, ResultStore, Session
 from repro.cluster import ClusterEngine, journal_path
-from repro.cluster.remote import RemoteClusterEngine
 from repro.cluster.transport import FakeTransport
 from repro.testing import small_config
 from repro.uarch.structures import TargetStructure
@@ -63,8 +62,9 @@ def spec_of(combo: Combo) -> CampaignSpec:
 
 @pytest.fixture(scope="module")
 def serial_outcomes():
-    """One serial reference run per combo (goldens shared via the session)."""
-    outcomes = SerialEngine().run([spec_of(combo) for combo in COMBOS])
+    """One cold reference run per combo (goldens shared via the session)."""
+    session = Session()
+    outcomes = [session.run(spec_of(combo)) for combo in COMBOS]
     return {combo.label: outcome for combo, outcome in zip(COMBOS, outcomes)}
 
 
@@ -119,7 +119,8 @@ def test_sweep_through_cluster_matches_serial(tmp_path):
         spec_of(COMBOS[0]).replace(seed=7),
         spec_of(COMBOS[0]).replace(structure=TargetStructure.SQ, seed=8),
     ]
-    serial = SerialEngine().run(specs)
+    session = Session()
+    serial = [session.run(spec) for spec in specs]
     engine = ClusterEngine(max_workers=2, shard_size=8,
                            cache_dir=tmp_path / "cache")
     clustered = engine.run(specs, store=ResultStore(tmp_path / "store"))
@@ -135,8 +136,9 @@ def test_sweep_through_cluster_matches_serial(tmp_path):
 # coordinator/lease/steal path, chaos included.
 # ----------------------------------------------------------------------
 def remote_engine(tmp_path, combo, schedule=(), workers=3, **kwargs):
-    return RemoteClusterEngine(
-        transport=FakeTransport(workers=workers, schedule=list(schedule)),
+    return ClusterEngine(
+        transport=FakeTransport(workers=workers, schedule=list(schedule),
+                                cache_dir=str(tmp_path / "cache")),
         shard_size=combo.shard_size, cache_dir=tmp_path / "cache",
         lease_timeout=4.0, **kwargs,
     )
@@ -239,9 +241,10 @@ def test_remote_chaos_matches_serial_across_fault_models(
         faults=30, seed=11, method="comprehensive",
         fault_model=model, model_params=params,
     )
-    reference = SerialEngine().run([spec])[0].classification_fingerprint()
-    engine = RemoteClusterEngine(
-        transport=FakeTransport(workers=3, schedule=["die", "torn", "die"]),
+    reference = Session().run(spec).classification_fingerprint()
+    engine = ClusterEngine(
+        transport=FakeTransport(workers=3, schedule=["die", "torn", "die"],
+                                cache_dir=str(tmp_path / "cache")),
         shard_size=6, cache_dir=tmp_path / "cache", lease_timeout=4.0,
     )
     outcome = engine.run([spec])[0]
@@ -258,7 +261,7 @@ def test_error_margin_derived_fault_list_matches(tmp_path):
         faults=None, error_margin=0.2, confidence=0.9, seed=5,
         method="comprehensive",
     )
-    serial = SerialEngine().run([spec])[0]
+    serial = Session().run(spec)
     engine = ClusterEngine(max_workers=2, shard_size=6,
                            cache_dir=tmp_path / "cache")
     outcome = engine.run([spec])[0]

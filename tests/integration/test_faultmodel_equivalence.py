@@ -25,7 +25,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.api import CampaignSpec, SerialEngine, make_engine
+from repro.api import CampaignSpec, Session, make_engine
 from repro.cluster import ClusterEngine
 from repro.core.merlin import MerlinCampaign, MerlinConfig
 from repro.faults.campaign import ComprehensiveCampaign
@@ -110,7 +110,7 @@ def test_injector_case_budget_is_at_least_100():
 
 
 # ----------------------------------------------------------------------
-# Engine level: serial == process == checkpoint == cluster, every model
+# Engine level: every local alias == the cold session, every model
 # ----------------------------------------------------------------------
 def spec_for(model_name, params) -> CampaignSpec:
     return CampaignSpec(
@@ -123,26 +123,31 @@ def spec_for(model_name, params) -> CampaignSpec:
 
 @pytest.fixture(scope="module")
 def serial_by_model():
-    """One serial reference outcome per model (goldens shared)."""
-    specs = [spec_for(name, params) for name, params in MODEL_CASES]
-    outcomes = SerialEngine().run(specs)
+    """One cold-session reference outcome per model (goldens shared)."""
+    session = Session()
+    outcomes = [session.run(spec_for(name, params))
+                for name, params in MODEL_CASES]
     return {
         model_id: outcome for model_id, outcome in zip(MODEL_IDS, outcomes)
     }
 
 
 @pytest.mark.parametrize(("model_name", "params"), MODEL_CASES, ids=MODEL_IDS)
-def test_checkpoint_engine_matches_serial(model_name, params, serial_by_model):
+def test_checkpoint_engine_matches_serial(model_name, params, serial_by_model,
+                                          tmp_path):
     model_id = MODEL_IDS[MODEL_CASES.index((model_name, params))]
     reference = serial_by_model[model_id].classification_fingerprint()
-    outcome = make_engine("checkpoint").run([spec_for(model_name, params)])[0]
+    outcome = make_engine("checkpoint", cache_dir=str(tmp_path)).run(
+        [spec_for(model_name, params)])[0]
     assert outcome.classification_fingerprint() == reference
 
 
-def test_process_engine_matches_serial_on_every_model(serial_by_model):
-    """One pool, all models: per-spec worker fan-out is model-agnostic."""
+def test_process_engine_matches_serial_on_every_model(serial_by_model,
+                                                      tmp_path):
+    """One pool, all models: shard fan-out is model-agnostic."""
     specs = [spec_for(name, params) for name, params in MODEL_CASES]
-    outcomes = make_engine("process", max_workers=2).run(specs)
+    outcomes = make_engine("process", max_workers=2,
+                           cache_dir=str(tmp_path)).run(specs)
     for model_id, outcome in zip(MODEL_IDS, outcomes):
         assert outcome.classification_fingerprint() == (
             serial_by_model[model_id].classification_fingerprint()

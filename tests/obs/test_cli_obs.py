@@ -13,17 +13,18 @@ from repro.obs import (
 )
 
 
-def run_args(extra):
+def run_args(tmp_path, extra):
     return [
         "run", "--workload", "sha", "--structure", "RF", "--registers", "64",
         "--faults", "30", "--scale", "1", "--method", "comprehensive",
+        "--cache-dir", str(tmp_path / "cache"),
     ] + extra
 
 
 def test_run_writes_valid_metrics_and_trace_files(tmp_path, capsys):
     metrics = tmp_path / "out" / "metrics.prom"
     trace = tmp_path / "out" / "trace.jsonl"
-    code = cli.main(run_args([
+    code = cli.main(run_args(tmp_path, [
         "--metrics-out", str(metrics), "--trace-out", str(trace),
     ]))
     assert code == 0
@@ -31,16 +32,17 @@ def test_run_writes_valid_metrics_and_trace_files(tmp_path, capsys):
     assert types["repro_injections_total"] == "counter"
     assert types["repro_faults_per_second"] == "gauge"
     assert types["repro_fault_classifications_total"] == "counter"
-    assert validate_trace_file(trace) >= 2  # campaign + golden_build spans
+    assert validate_trace_file(trace) >= 4
     names = {json.loads(line)["name"]
              for line in trace.read_text().splitlines()}
-    assert {"campaign", "golden_build"} <= names
+    # Plan (with its golden build), each shard, then the merge.
+    assert {"cluster_plan", "golden_build", "shard", "merge"} <= names
 
 
 def test_run_with_store_persists_a_metrics_sidecar(tmp_path, capsys):
     store_dir = tmp_path / "store"
     metrics = tmp_path / "metrics.prom"
-    code = cli.main(run_args([
+    code = cli.main(run_args(tmp_path, [
         "--metrics-out", str(metrics), "--store", str(store_dir),
     ]))
     assert code == 0
@@ -72,8 +74,8 @@ def test_metrics_command_without_a_snapshot_fails_cleanly(tmp_path, capsys):
 def test_cluster_run_emits_the_cluster_metric_families(tmp_path, capsys):
     metrics = tmp_path / "cluster.prom"
     trace = tmp_path / "cluster-trace.jsonl"
-    code = cli.main(run_args([
-        "--engine", "cluster", "--cache-dir", str(tmp_path / "cache"),
+    code = cli.main(run_args(tmp_path, [
+        "--engine", "cluster",
         "--shard-size", "10", "--workers", "2",
         "--metrics-out", str(metrics), "--trace-out", str(trace),
     ]))
@@ -100,6 +102,7 @@ def test_sweep_persists_one_sidecar_per_run(tmp_path, capsys):
         "--registers", "64", "--faults", "20", "--scale", "1",
         "--method", "comprehensive", "--json",
         "--metrics-out", str(metrics), "--store", str(store_dir),
+        "--cache-dir", str(tmp_path / "cache"),
     ])
     assert code == 0
     store = ResultStore(store_dir)

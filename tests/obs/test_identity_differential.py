@@ -2,8 +2,8 @@
 
 The hard invariant of ``repro.obs`` is that it is pure measurement: run
 ids, classification fingerprints and journal contents are bit-identical
-with tracing/metrics on and off, for every engine.  These tests run each
-engine twice — once bare, once under :func:`repro.obs.observe` — and
+with tracing/metrics on and off, for every engine alias.  These tests run
+each alias twice — once bare, once under :func:`repro.obs.observe` — and
 compare the identity-bearing artifacts, then sanity-check that the
 observed leg actually measured something (so a silently dead seam can't
 masquerade as a passing differential).
@@ -15,7 +15,7 @@ import pytest
 
 from repro import obs
 from repro.api import CampaignSpec, make_engine
-from repro.cluster import ClusterEngine, journal_path
+from repro.cluster import journal_path
 from repro.testing import small_config
 from repro.uarch.structures import TargetStructure
 
@@ -30,12 +30,18 @@ def tiny_spec(**overrides):
     return CampaignSpec(**payload)
 
 
-@pytest.mark.parametrize("engine_name", ["serial", "process", "checkpoint"])
-def test_engine_identity_is_unchanged_by_observability(engine_name):
+#: Every alias except remote (which needs agent hosts; the remote
+#: coordinator path is covered over FakeTransport in the chaos smoke).
+ALIASES = ["serial", "checkpoint", "process", "cluster"]
+
+
+@pytest.mark.parametrize("alias", ALIASES)
+def test_alias_identity_is_unchanged_by_observability(alias, tmp_path):
     spec = tiny_spec(seed=11)
-    bare = make_engine(engine_name).run([spec])[0]
+    bare = make_engine(alias, cache_dir=str(tmp_path / "bare")).run([spec])[0]
     with obs.observe() as ctx:
-        observed = make_engine(engine_name).run([spec])[0]
+        observed = make_engine(
+            alias, cache_dir=str(tmp_path / "observed")).run([spec])[0]
         ctx.finalize(run_id=spec.run_id())
 
     assert observed.run_id == bare.run_id == spec.run_id()
@@ -43,7 +49,7 @@ def test_engine_identity_is_unchanged_by_observability(engine_name):
             == bare.classification_fingerprint())
 
     # The observed leg must have measured real work (counters merged from
-    # workers where the engine fans out).
+    # the shard executors, in-process or in pool workers).
     registry = ctx.registry
     assert registry.total("repro_injections_total") == bare.comprehensive.injections
     assert registry.total("repro_campaigns_total") == 1.0
@@ -54,12 +60,11 @@ def test_engine_identity_is_unchanged_by_observability(engine_name):
         for effect in bare.comprehensive.counts
     )
     assert per_effect == bare.comprehensive.injections
-    if engine_name == "checkpoint":
-        assert registry.total("repro_checkpoint_restores_total") > 0
-        assert registry.total("repro_checkpoint_cycles_fast_forwarded_total") > 0
+    assert registry.total("repro_checkpoint_restores_total") > 0
+    assert registry.total("repro_checkpoint_cycles_fast_forwarded_total") > 0
 
 
-def _journal_records(engine: ClusterEngine, run_id: str):
+def _journal_records(engine, run_id: str):
     """Parsed journal lines with the one legitimately timing-bearing field
     (the merged marker's wall clock) normalised away."""
     text = journal_path(engine.journal_dir, run_id).read_text()
@@ -70,17 +75,20 @@ def _journal_records(engine: ClusterEngine, run_id: str):
     return records
 
 
-def test_cluster_identity_and_journal_are_unchanged_by_observability(tmp_path):
+@pytest.mark.parametrize("alias", ["serial", "cluster"])
+def test_identity_and_journal_are_unchanged_by_observability(alias, tmp_path):
     spec = tiny_spec(seed=12)
-
-    # max_workers=1 keeps shard completion (hence journal line order)
+    # One worker keeps shard completion (hence journal line order)
     # deterministic, so the two journals can be compared record for record.
-    bare_engine = ClusterEngine(max_workers=1, shard_size=10,
-                                cache_dir=tmp_path / "bare")
+    workers = {"max_workers": 1} if alias == "cluster" else {}
+
+    bare_engine = make_engine(alias, shard_size=10,
+                              cache_dir=str(tmp_path / "bare"), **workers)
     bare = bare_engine.run([spec])[0]
 
-    observed_engine = ClusterEngine(max_workers=1, shard_size=10,
-                                    cache_dir=tmp_path / "observed")
+    observed_engine = make_engine(alias, shard_size=10,
+                                  cache_dir=str(tmp_path / "observed"),
+                                  **workers)
     with obs.observe() as ctx:
         observed = observed_engine.run([spec])[0]
         ctx.finalize(run_id=spec.run_id())
@@ -105,12 +113,13 @@ def test_cluster_identity_and_journal_are_unchanged_by_observability(tmp_path):
     assert registry.value("repro_pool_queue_depth") == 0.0
 
 
-def test_cluster_resume_counts_reused_shards_and_journal_repairs(tmp_path):
+@pytest.mark.parametrize("alias", ["serial", "cluster"])
+def test_resume_counts_reused_shards_and_journal_repairs(alias, tmp_path):
     """A resumed run under observability reports the reused shards and the
     torn-tail repair — without changing what the resume produces."""
     spec = tiny_spec(seed=13)
-    cache = tmp_path / "cache"
-    first = ClusterEngine(max_workers=1, shard_size=10, cache_dir=cache)
+    cache = str(tmp_path / "cache")
+    first = make_engine(alias, shard_size=10, cache_dir=cache)
     outcome = first.run([spec])[0]
     shards = first.stats["shards_total"]
 
@@ -120,8 +129,7 @@ def test_cluster_resume_counts_reused_shards_and_journal_repairs(tmp_path):
              if json.loads(line).get("kind") != "merged"]
     path.write_text("".join(lines[:-1]) + '{"kind":"shard","sh')
 
-    rerun = ClusterEngine(max_workers=1, shard_size=10, cache_dir=cache,
-                          resume=True)
+    rerun = make_engine(alias, shard_size=10, cache_dir=cache, resume=True)
     with obs.observe() as ctx:
         again = rerun.run([spec])[0]
     assert again.classification_fingerprint() == outcome.classification_fingerprint()
@@ -138,9 +146,10 @@ def test_store_hits_count_as_campaigns_from_store(tmp_path):
 
     spec = tiny_spec(seed=14)
     store = ResultStore(tmp_path / "store")
-    make_engine("serial").run([spec], store=store)
+    cache = str(tmp_path / "cache")
+    make_engine("serial", cache_dir=cache).run([spec], store=store)
     with obs.observe() as ctx:
-        make_engine("serial").run([spec], store=store)
+        make_engine("serial", cache_dir=cache).run([spec], store=store)
     assert ctx.registry.total("repro_campaigns_from_store_total") == 1.0
     assert ctx.registry.total("repro_campaigns_total") == 0.0
     assert ctx.registry.total("repro_injections_total") == 0.0

@@ -1,6 +1,6 @@
-"""The progress(done, total) contract, asserted uniformly for all engines.
+"""The progress(done, total) contract, asserted uniformly for every alias.
 
-Every engine promises: ``done`` is monotonic, never exceeds ``total``,
+Every engine alias reports in shards and promises: ``done`` is monotonic, never exceeds ``total``,
 ``total`` never shrinks, and the final report says the work completed.
 :class:`repro.testing.ProgressRecorder` is the shared assertion harness.
 """
@@ -10,7 +10,7 @@ import json
 import pytest
 
 from repro.api import CampaignSpec, Session, make_engine
-from repro.cluster import ClusterEngine, journal_path
+from repro.cluster import journal_path
 from repro.testing import ProgressRecorder, small_config
 from repro.uarch.structures import TargetStructure
 
@@ -23,31 +23,31 @@ def tiny_spec(**overrides):
     return CampaignSpec(**payload)
 
 
-@pytest.mark.parametrize("engine_name", ["serial", "process", "checkpoint"])
-def test_per_campaign_engines_report_complete_monotonic_progress(engine_name):
+#: Every alias except remote (which needs agent hosts; it shares the
+#: coordinator loop these exercise).
+ALIASES = ["serial", "checkpoint", "process", "cluster"]
+
+
+@pytest.mark.parametrize("alias", ALIASES)
+def test_every_alias_reports_complete_monotonic_progress_in_shards(
+        alias, tmp_path):
     specs = [tiny_spec(seed=21), tiny_spec(seed=22)]
     recorder = ProgressRecorder()
-    make_engine(engine_name).run(specs, progress=recorder)
-    recorder.assert_contract(expect_total=len(specs))
-
-
-def test_cluster_fresh_run_starts_at_zero_and_finishes_complete(tmp_path):
-    spec = tiny_spec(seed=23)
-    recorder = ProgressRecorder()
-    engine = ClusterEngine(max_workers=2, shard_size=5,
-                           cache_dir=tmp_path / "cache")
-    engine.run([spec], progress=recorder)
+    engine = make_engine(alias, shard_size=5, cache_dir=str(tmp_path / "cache"))
+    engine.run(specs, progress=recorder)
     shards = engine.stats["shards_total"]
+    assert shards > len(specs)
     assert recorder.calls[0] == (0, shards), (
         "a fresh run must seed progress at 0/N, not jump in mid-count"
     )
     recorder.assert_contract(expect_total=shards)
 
 
-def test_cluster_resume_seeds_progress_with_journaled_shards(tmp_path):
+@pytest.mark.parametrize("alias", ALIASES)
+def test_resume_seeds_progress_with_journaled_shards(alias, tmp_path):
     spec = tiny_spec(seed=24)
-    cache = tmp_path / "cache"
-    first = ClusterEngine(max_workers=1, shard_size=5, cache_dir=cache)
+    cache = str(tmp_path / "cache")
+    first = make_engine(alias, shard_size=5, cache_dir=cache)
     first.run([spec])
     shards = first.stats["shards_total"]
 
@@ -58,8 +58,7 @@ def test_cluster_resume_seeds_progress_with_journaled_shards(tmp_path):
     path.write_text("".join(lines[:-1]))
 
     recorder = ProgressRecorder()
-    rerun = ClusterEngine(max_workers=1, shard_size=5, cache_dir=cache,
-                          resume=True)
+    rerun = make_engine(alias, shard_size=5, cache_dir=cache, resume=True)
     rerun.run([spec], progress=recorder)
     assert recorder.calls[0] == (shards - 1, shards), (
         "a resumed run's first report must already count the journaled shards"
@@ -67,17 +66,17 @@ def test_cluster_resume_seeds_progress_with_journaled_shards(tmp_path):
     recorder.assert_contract(expect_total=shards)
 
 
-def test_cluster_store_satisfied_batch_still_reports_completion(tmp_path):
+@pytest.mark.parametrize("alias", ALIASES)
+def test_store_satisfied_batch_still_reports_completion(alias, tmp_path):
     from repro.api import ResultStore
 
     spec = tiny_spec(seed=25)
     store = ResultStore(tmp_path / "store")
-    cache = tmp_path / "cache"
-    ClusterEngine(max_workers=1, shard_size=5, cache_dir=cache).run(
-        [spec], store=store)
+    cache = str(tmp_path / "cache")
+    make_engine(alias, shard_size=5, cache_dir=cache).run([spec], store=store)
 
     recorder = ProgressRecorder()
-    ClusterEngine(max_workers=1, shard_size=5, cache_dir=cache).run(
+    make_engine(alias, shard_size=5, cache_dir=cache).run(
         [spec], store=store, progress=recorder)
     # One work unit: the campaign reloaded from the store.
     recorder.assert_contract(expect_total=1)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import multiprocessing
 
-from repro.api import CampaignSpec, ResultStore, SerialEngine
+from repro.api import CampaignSpec, ResultStore, Session
 from repro.cluster.journal import RunJournal, journal_path
 from repro.cluster.shards import FaultShard
 from repro.testing import small_config
@@ -83,7 +83,7 @@ def test_concurrent_journal_appends_interleave_whole(tmp_path):
 
 
 def test_concurrent_store_saves_race_benignly(tmp_path):
-    outcome = SerialEngine().run([spec()])[0]
+    outcome = Session().run(spec())
     reference = outcome.classification_fingerprint()
     store_dir = tmp_path / "store"
     ResultStore(store_dir)  # create the root before the race

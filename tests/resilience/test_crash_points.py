@@ -6,12 +6,12 @@ then rolls the disk back to what a real ``kill -9`` could have left
 (unfsynced bytes truncated, un-dirsynced renames undone), and a fresh
 engine on the real filesystem re-runs the campaign.  The recovered
 outcome — and the stored one — must be bit-identical (classification
-fingerprint) to an undisturbed serial run.
+fingerprint) to an undisturbed cold ``Session().run``.
 
-The process-pool engine persists outcomes *inside* its worker processes;
-on fork-start platforms the workers inherit the parent's armed FaultFs,
-so the crash fires in the worker and surfaces through the future — the
-same harness applies.
+Every local engine alias crosses the full matrix: the inline aliases
+(serial, checkpoint) and the pool aliases (process, cluster) all write
+the same artifact cache, journal and store.  The remote coordinator path
+is crossed over :class:`FakeTransport` at representative points.
 """
 
 from __future__ import annotations
@@ -21,10 +21,9 @@ import pytest
 import repro.api.store  # noqa: F401  (registers store.save.* crash points)
 import repro.cluster.artifacts  # noqa: F401  (cache.store.*)
 import repro.cluster.journal  # noqa: F401  (journal.append.*)
-from repro.api import CampaignSpec, ResultStore, SerialEngine
+from repro.api import CampaignSpec, ResultStore, Session
 from repro.api.engine import make_engine
 from repro.cluster import ClusterEngine
-from repro.cluster.remote import RemoteClusterEngine
 from repro.cluster.transport import FakeTransport
 from repro.resilience import FaultFs, SimulatedCrash, crash_points, use_fs
 from repro.testing import small_config
@@ -60,7 +59,7 @@ def spec() -> CampaignSpec:
 
 @pytest.fixture(scope="module")
 def reference():
-    return SerialEngine().run([spec()])[0].classification_fingerprint()
+    return Session().run(spec()).classification_fingerprint()
 
 
 def test_registry_matches_harness_matrix():
@@ -87,32 +86,39 @@ def crash_then_recover(tmp_path, make, point, hit, reference):
     return outcome
 
 
+#: Every local alias: two inline, two pool.
+ALIASES = ["serial", "checkpoint", "process", "cluster"]
+
+
+def local_engine(alias, cache_dir):
+    workers = {"max_workers": 2} if alias in ("process", "cluster") else {}
+    return make_engine(alias, shard_size=5, cache_dir=str(cache_dir), **workers)
+
+
 # ----------------------------------------------------------------------
-# Cluster engine: the full matrix.
+# Every local alias: the full matrix.
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("point,hit", CRASH_MATRIX,
                          ids=[f"{p}@{h}" for p, h in CRASH_MATRIX])
-def test_cluster_engine_recovers_from_every_crash_point(
-        point, hit, reference, tmp_path):
+@pytest.mark.parametrize("alias", ALIASES)
+def test_every_alias_recovers_from_every_crash_point(
+        alias, point, hit, reference, tmp_path):
     def make():
-        return ClusterEngine(max_workers=2, shard_size=5,
-                             cache_dir=tmp_path / "cache")
+        return local_engine(alias, tmp_path / "cache")
 
     crash_then_recover(tmp_path, make, point, hit, reference)
 
 
-def test_cluster_recovery_reuses_durably_journaled_shards(reference, tmp_path):
+@pytest.mark.parametrize("alias", ["serial", "cluster"])
+def test_recovery_reuses_durably_journaled_shards(alias, reference, tmp_path):
     """A mid-campaign journal crash must not re-execute journaled shards."""
     fs = FaultFs(crash_at="journal.append.pre_write", crash_on_hit=4)
     with use_fs(fs):
         store = ResultStore(tmp_path / "store")
         with pytest.raises(SimulatedCrash):
-            ClusterEngine(max_workers=2, shard_size=5,
-                          cache_dir=tmp_path / "cache").run([spec()],
-                                                            store=store)
+            local_engine(alias, tmp_path / "cache").run([spec()], store=store)
     fs.reopen()
-    recovered = ClusterEngine(max_workers=2, shard_size=5,
-                              cache_dir=tmp_path / "cache")
+    recovered = local_engine(alias, tmp_path / "cache")
     recovery_store = ResultStore(tmp_path / "store")
     outcome = recovered.run([spec()], store=recovery_store)[0]
     assert outcome.classification_fingerprint() == reference
@@ -123,7 +129,7 @@ def test_cluster_recovery_reuses_durably_journaled_shards(reference, tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Remote engine (FakeTransport): representative points on the
+# Remote coordinator path (FakeTransport): representative points on the
 # coordinator's persistence path.
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("point,hit", [
@@ -134,44 +140,10 @@ def test_cluster_recovery_reuses_durably_journaled_shards(reference, tmp_path):
 def test_remote_engine_recovers_via_fake_transport(
         point, hit, reference, tmp_path):
     def make():
-        return RemoteClusterEngine(
-            transport=FakeTransport(workers=3, schedule=[]),
+        return ClusterEngine(
+            transport=FakeTransport(workers=3, schedule=[],
+                                    cache_dir=str(tmp_path / "cache")),
             shard_size=5, cache_dir=tmp_path / "cache", lease_timeout=4.0,
         )
 
     crash_then_recover(tmp_path, make, point, hit, reference)
-
-
-# ----------------------------------------------------------------------
-# Serial and checkpoint engines: the store is their only durable write.
-# ----------------------------------------------------------------------
-@pytest.mark.parametrize("engine_name", ["serial", "checkpoint"])
-@pytest.mark.parametrize("point", ["store.save.pre_replace",
-                                   "store.save.post_replace"])
-def test_in_process_engines_recover_from_store_crashes(
-        engine_name, point, reference, tmp_path):
-    def make():
-        return make_engine(engine_name)
-
-    crash_then_recover(tmp_path, make, point, 1, reference)
-
-
-@pytest.mark.parametrize("point", ["store.save.pre_replace",
-                                   "store.save.post_replace"])
-def test_process_engine_recovers_from_worker_store_crashes(
-        point, reference, tmp_path):
-    """Pool workers fork the parent's FaultFs, so the armed crash fires
-    *inside the worker* and surfaces through the future — recovery must
-    still converge on the serial fingerprint."""
-    fs = FaultFs(crash_at=point)
-    with use_fs(fs):
-        store = ResultStore(tmp_path / "store")
-        with pytest.raises(SimulatedCrash):
-            make_engine("process", max_workers=2).run([spec()], store=store)
-    fs.reopen()
-    recovery_store = ResultStore(tmp_path / "store")
-    outcome = make_engine("process", max_workers=2).run(
-        [spec()], store=recovery_store)[0]
-    assert outcome.classification_fingerprint() == reference
-    assert recovery_store.get(
-        spec().run_id()).classification_fingerprint() == reference

@@ -6,8 +6,7 @@ from __future__ import annotations
 import pytest
 
 from repro import cli
-from repro.api import CampaignSpec, ResultStore, SerialEngine
-from repro.api.session import Session
+from repro.api import CampaignSpec, ResultStore, Session
 from repro.api.store import StoreError, StoreUnavailableError
 from repro.cluster.artifacts import ArtifactCache
 from repro.cluster.journal import (
@@ -32,7 +31,7 @@ def spec() -> CampaignSpec:
 
 @pytest.fixture(scope="module")
 def outcome():
-    return SerialEngine().run([spec()])[0]
+    return Session().run(spec())
 
 
 # ----------------------------------------------------------------------
@@ -63,7 +62,8 @@ def test_transient_enospc_is_retried_through(outcome, tmp_path):
 def test_cli_renders_store_unavailable_as_one_line(tmp_path, capsys):
     argv = ["run", "--workload", "sha", "--faults", "10", "--scale", "1",
             "--method", "comprehensive", "--engine", "serial",
-            "--store", str(tmp_path / "store")]
+            "--store", str(tmp_path / "store"),
+            "--cache-dir", str(tmp_path / "cache")]
     with use_fs(FaultFs(script={"mkstemp": ["enospc"] * 50})):
         exit_code = cli.main(argv)
     captured = capsys.readouterr()
@@ -117,12 +117,12 @@ def test_cache_store_failure_is_best_effort(tmp_path, monkeypatch):
 
 
 def test_campaign_survives_degraded_cache(tmp_path):
-    reference = SerialEngine().run([spec()])[0].classification_fingerprint()
+    reference = Session().run(spec()).classification_fingerprint()
     fs = FaultFs(script={"mkdir": ["eio"] * 20})
     cache = ArtifactCache(tmp_path / "cache", fs=fs)
     assert cache.degraded
     session = Session(store=None, checkpointing=True, artifact_cache=cache)
-    degraded_outcome = SerialEngine(session=session).run([spec()])[0]
+    degraded_outcome = session.run(spec())
     assert degraded_outcome.classification_fingerprint() == reference
 
 

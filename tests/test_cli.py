@@ -12,10 +12,11 @@ def test_list_command_prints_all_workloads(capsys):
     assert out.count("\n") == 20
 
 
-def test_run_command_small_campaign(capsys):
+def test_run_command_small_campaign(tmp_path, capsys):
     code = cli.main([
         "run", "--workload", "sha", "--structure", "RF",
         "--registers", "64", "--faults", "60", "--scale", "1",
+        "--cache-dir", str(tmp_path),
     ])
     assert code == 0
     out = capsys.readouterr().out
@@ -23,11 +24,11 @@ def test_run_command_small_campaign(capsys):
     assert "Masked" in out
 
 
-def test_run_command_with_baseline(capsys):
+def test_run_command_with_baseline(tmp_path, capsys):
     code = cli.main([
         "run", "--workload", "fft", "--structure", "SQ",
         "--sq-entries", "16", "--faults", "40", "--scale", "3",
-        "--baseline",
+        "--baseline", "--cache-dir", str(tmp_path),
     ])
     assert code == 0
     out = capsys.readouterr().out
@@ -40,12 +41,12 @@ def test_parser_rejects_unknown_workload():
         cli.main(["run", "--workload", "doom"])
 
 
-def test_run_command_with_fault_model(capsys):
+def test_run_command_with_fault_model(tmp_path, capsys):
     code = cli.main([
         "run", "--workload", "sha", "--structure", "RF",
         "--registers", "64", "--faults", "40", "--scale", "1",
         "--fault-model", "multi-bit", "--model-param", "width=4",
-        "--json",
+        "--json", "--cache-dir", str(tmp_path),
     ])
     assert code == 0
     import json as _json
@@ -91,10 +92,16 @@ def test_parser_requires_command():
         cli.main([])
 
 
-def test_cluster_flags_rejected_for_other_engines():
+@pytest.mark.parametrize("flags", [
+    ["--engine", "serial", "--workers", "2"],
+    ["--engine", "cluster", "--hosts", "127.0.0.1:7651"],
+], ids=["workers-inline", "hosts-pool"])
+def test_misplaced_engine_flags_are_usage_errors(flags, tmp_path, capsys):
     with pytest.raises(SystemExit):
         cli.main(["run", "--workload", "sha", "--faults", "10", "--scale", "1",
-                  "--engine", "serial", "--resume"])
+                  "--cache-dir", str(tmp_path)] + flags)
+    assert "only applies" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir()), "rejected before any work"
 
 
 # ----------------------------------------------------------------------
@@ -150,6 +157,7 @@ def populated_store(tmp_path):
             "run", "--workload", workload, "--structure", "RF",
             "--registers", "64", "--faults", "30", "--scale", "1",
             "--seed", str(seed), "--store", store,
+            "--cache-dir", str(tmp_path / "cache"),
         ]) == 0
     return store
 

@@ -17,7 +17,7 @@ from repro.uarch.checkpoint import (
 )
 from repro.uarch.config import MicroarchConfig
 from repro.uarch.pipeline import OutOfOrderCpu
-from repro.uarch.structures import TargetStructure
+from repro.uarch.structures import BitOp, TargetStructure
 
 
 CONFIG = small_config()
@@ -88,7 +88,7 @@ def test_mid_run_restore_preserves_pending_fault_plan():
 
     golden = golden_cpu.run(cycle_hook=hook)
 
-    flip = (TargetStructure.RF, 3, 60)
+    flip = (TargetStructure.RF, 3, 60, BitOp.FLIP)
     cold = fresh_cpu(program, fault_plan={90: [flip]}).run()
     warm_cpu = fresh_cpu(program, fault_plan={90: [flip]})
     restore_state(warm_cpu, state["at40"])

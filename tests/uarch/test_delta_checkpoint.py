@@ -22,7 +22,7 @@ from repro.uarch.checkpoint import (
     restore_state,
 )
 from repro.uarch.pipeline import OutOfOrderCpu
-from repro.uarch.structures import TargetStructure
+from repro.uarch.structures import BitOp, TargetStructure
 
 CONFIG = small_config()
 
@@ -107,6 +107,12 @@ def test_payload_round_trip_and_sparsity():
     assert len(sparse_lines) < num_lines
     assert line_bytes == CONFIG.cache_line_bytes
 
+    # Predictor tables are bytes in memory but keep their tuple layout in
+    # the payload, so artifacts written before the change stay readable.
+    (local, _, _, _), _ = dict(zip(field_names, base_payload))["branch"]
+    assert isinstance(local, tuple)
+    assert isinstance(back.states()[0].branch[0][0], bytes)
+
     # And the whole point: the delta payload is far smaller than storing
     # every checkpoint in full.
     full_states = timeline.states()
@@ -153,9 +159,9 @@ def test_partial_restore_with_faults_is_exact():
     initial = capture_state(pooled)
 
     plans = [
-        {10: [(TargetStructure.RF, 20, 7)]},
-        {25: [(TargetStructure.L1D, 5, 3)]},
-        {40: [(TargetStructure.SQ, 3, 60)]},
+        {10: [(TargetStructure.RF, 20, 7, BitOp.FLIP)]},
+        {25: [(TargetStructure.L1D, 5, 3, BitOp.FLIP)]},
+        {40: [(TargetStructure.SQ, 3, 60, BitOp.FLIP)]},
         {},
     ]
     pooled_results = []

@@ -8,7 +8,7 @@ from repro.isa.memory import MEM_LIMIT
 from repro.isa.registers import Reg
 from repro.uarch.config import MicroarchConfig
 from repro.uarch.pipeline import OutOfOrderCpu, TerminationKind
-from repro.uarch.structures import TargetStructure
+from repro.uarch.structures import BitOp, TargetStructure
 from repro.uarch.trace import AccessTracer
 from repro.workloads import MIBENCH_NAMES, SPEC_NAMES, get_workload
 
@@ -186,7 +186,7 @@ def test_fault_plan_flip_changes_architectural_result(loop_program):
     masked = 0
     for phys in range(16, 64, 2):
         for cycle in (30, 80):
-            fault_plan = {cycle: [(TargetStructure.RF, phys, 0)]}
+            fault_plan = {cycle: [(TargetStructure.RF, phys, 0, BitOp.FLIP)]}
             cpu = OutOfOrderCpu(loop_program, config, fault_plan=fault_plan)
             result = cpu.run(max_cycles=golden.cycles * 3)
             if result.output != golden.output or result.termination is not TerminationKind.HALTED:
